@@ -356,7 +356,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "parameters": {
             "input": args.input if args.input else {"group": args.group, "set": args.set},
             "checks": requested,
-            "threads": args.threads,
         },
         "vertices": graph.n,
         "edges": graph.edge_count(),
@@ -623,14 +622,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--invariants", action="store_true", help="fingerprint record")
     v.add_argument("--node-budget", type=int, default=10**8)
     v.add_argument("--time-budget", type=float, default=None)
-    v.add_argument("--threads", type=int, default=1, help="reserved; runs single-threaded")
     v.add_argument("--timings", action="store_true", help="include timings in the JSON")
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("reproduce-paper", help="re-run the computational claims")
     r.add_argument("--extended", action="store_true", help="include the davis(5) full decision")
     r.add_argument("--list", action="store_true", help="print the claim matrix without running")
-    r.add_argument("--threads", type=int, default=1, help="reserved; runs single-threaded")
     r.add_argument("--timings", action="store_true", help="include timings in the JSON")
     r.set_defaults(func=cmd_reproduce)
     return parser

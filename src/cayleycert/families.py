@@ -9,6 +9,7 @@ miscounted generator list must fail loudly rather than emit a wrong graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from math import isqrt
 from typing import Optional
 
 from .cayley import ConnectionSet, validate_connection_set
@@ -227,8 +228,5 @@ def paley_type_order_feasible(m: int) -> tuple[bool, str]:
 
 
 def _fourth_root(m: int) -> Optional[int]:
-    root = round(m ** 0.25)
-    for cand in (root - 1, root, root + 1):
-        if cand >= 1 and cand**4 == m:
-            return cand
-    return None
+    root = isqrt(isqrt(m))  # floor of the fourth root, exact for any size
+    return root if root**4 == m else None

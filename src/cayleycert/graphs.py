@@ -8,6 +8,7 @@ integer arithmetic; there is no floating-point spectral computation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, Optional, Sequence
@@ -70,21 +71,15 @@ class DenseGraph:
         rows = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
         return cls(rows, n)
 
+    def _memo(self, compute):
+        """compute(self), evaluated once per graph and kept in its cache."""
+        if compute not in self._cache:
+            self._cache[compute] = compute(self)
+        return self._cache[compute]
+
     def adjacency(self) -> np.ndarray:
         """Cached n x n uint8 mirror of the bit rows."""
-        A = self._cache.get("np")
-        if A is None:
-            nbytes = (self.n + 7) // 8
-            buf = b"".join(r.to_bytes(nbytes, "little") for r in self.rows)
-            bits = np.unpackbits(
-                np.frombuffer(buf, dtype=np.uint8).reshape(self.n, nbytes),
-                axis=1,
-                bitorder="little",
-            )[:, : self.n]
-            A = np.ascontiguousarray(bits)
-            A.setflags(write=False)
-            self._cache["np"] = A
-        return A
+        return self._memo(_unpack_rows)
 
     def degree(self, u: int) -> int:
         return self.rows[u].bit_count()
@@ -99,14 +94,8 @@ class DenseGraph:
         return bool((self.rows[u] >> v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            m = self.rows[u] >> (u + 1) << (u + 1)
-            while m:
-                lsb = m & -m
-                out.append((u, lsb.bit_length() - 1))
-                m ^= lsb
-        return out
+        # row & -(2 << u) keeps the neighbors above u
+        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row & -(2 << u))]
 
     def relabel(self, perm: Sequence[int]) -> "DenseGraph":
         """Image graph where vertex u is renamed perm[u]."""
@@ -122,6 +111,19 @@ class DenseGraph:
         return DenseGraph(rows, self.n)
 
 
+def _unpack_rows(graph: DenseGraph) -> np.ndarray:
+    nbytes = (graph.n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in graph.rows)
+    bits = np.unpackbits(
+        np.frombuffer(buf, dtype=np.uint8).reshape(graph.n, nbytes),
+        axis=1,
+        bitorder="little",
+    )[:, : graph.n]
+    A = np.ascontiguousarray(bits)
+    A.setflags(write=False)
+    return A
+
+
 def _bits(mask: int):
     while mask:
         lsb = mask & -mask
@@ -129,7 +131,19 @@ def _bits(mask: int):
         mask ^= lsb
 
 
+def _edges_inside(rows: Sequence[int], mask: int) -> int:
+    """e(G[mask]): one AND+popcount per vertex of mask sees every edge twice."""
+    twice = 0
+    for w in _bits(mask):
+        twice += (rows[w] & mask).bit_count()
+    return twice // 2
+
+
 # --- structural parameters ----------------------------------------------------
+
+
+class SelfCheckError(RuntimeError):
+    """A result failed its own exact re-check: a fault in the program, not an answer."""
 
 
 @dataclass(frozen=True)
@@ -299,7 +313,12 @@ def diameter(graph: DenseGraph) -> Optional[int]:
 
 
 def check_srg(graph: DenseGraph) -> SrgResult:
-    """Certify strong regularity by direct common-neighbor counting."""
+    """Certify strong regularity by direct common-neighbor counting, once per
+    graph."""
+    return graph._memo(_check_srg)
+
+
+def _check_srg(graph: DenseGraph) -> SrgResult:
     n = graph.n
     degs = graph.degrees()
     k = degs[0]
@@ -335,25 +354,19 @@ def check_srg(graph: DenseGraph) -> SrgResult:
     if lam is None:
         return SrgResult(None, "no edges", None)
     params = SrgParams(n, k, lam, mu)
-    assert params.count_identity_holds(), params
+    if not params.count_identity_holds():
+        raise SelfCheckError(f"counted {params.as_tuple()} violate (n-k-1)mu = k(k-lam-1)")
     return SrgResult(params)
 
 
 def check_adjacency_identity(graph: DenseGraph, params: SrgParams) -> bool:
-    """Exact entrywise check of A^2 = lam*A + mu*(J - I - A) + k*I."""
+    """Exact check of A^2 = lam*A + mu*(J - I - A) + k*I in integer matrices."""
     n, k, lam, mu = params.as_tuple()
     if n != graph.n:
         return False
-    for u in range(n):
-        ru = graph.rows[u]
-        if ru.bit_count() != k:
-            return False
-        for v in range(u + 1, n):
-            c = (ru & graph.rows[v]).bit_count()
-            expected = lam if (ru >> v) & 1 else mu
-            if c != expected:
-                return False
-    return True
+    A = graph.adjacency().astype(np.int64)
+    I = np.eye(n, dtype=np.int64)
+    return bool(np.array_equal(A @ A, lam * A + mu * (1 - I - A) + k * I))
 
 
 def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
@@ -403,21 +416,25 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
     return DistanceRegularResult(IntersectionArray(tuple(bs), tuple(cs)))
 
 
+def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Multiset over edges u < v of (|N(u) & N(v)|, e(G[N(u) & N(v)])), as
+    sorted ((count, edges), multiplicity) pairs."""
+    rows = graph.rows
+    counts: Counter[tuple[int, int]] = Counter()
+    for u, v in graph.edges():
+        common = rows[u] & rows[v]
+        counts[common.bit_count(), _edges_inside(rows, common)] += 1
+    return tuple(sorted(counts.items()))
+
+
 def invariant_counts(graph: DenseGraph) -> tuple[int, int, tuple[int, ...]]:
     """(triangle count, 4-clique count, sorted degree multiset), all exact."""
-    n = graph.n
-    rows = graph.rows
-    tri3 = 0  # every triangle counted once per edge
-    quad6 = 0  # every 4-clique counted once per edge (opposite pair is an edge)
-    for u in range(n):
-        ru = rows[u]
-        m = ru >> (u + 1) << (u + 1)
-        for v in _bits(m):
-            common = ru & rows[v]
-            tri3 += common.bit_count()
-            for w in _bits(common):
-                quad6 += (rows[w] & (common >> (w + 1) << (w + 1))).bit_count()
-    assert tri3 % 3 == 0 and quad6 % 6 == 0
+    tri3 = quad6 = 0  # every triangle is seen from 3 edges, every 4-clique from 6
+    for (common, inside), mult in graph._memo(_common_neighborhood_pass):
+        tri3 += common * mult
+        quad6 += inside * mult
+    if tri3 % 3 or quad6 % 6:
+        raise SelfCheckError(f"edge-wise sums {tri3} and {quad6} are not multiples of 3 and 6")
     return tri3 // 3, quad6 // 6, tuple(sorted(graph.degrees()))
 
 
@@ -429,16 +446,9 @@ def edge_neighborhood_edge_profile(graph: DenseGraph) -> tuple[tuple[int, int], 
     value is one sixth of the weighted sum); separates same-parameter
     strongly regular graphs that agree on every counting and rank invariant.
     """
-    rows = graph.rows
-    counts: dict[int, int] = {}
-    for u in range(graph.n):
-        ru = rows[u]
-        for v in _bits(ru >> (u + 1) << (u + 1)):
-            common = ru & rows[v]
-            e = 0
-            for w in _bits(common):
-                e += (rows[w] & (common >> (w + 1) << (w + 1))).bit_count()
-            counts[e] = counts.get(e, 0) + 1
+    counts: Counter[int] = Counter()
+    for (_common, inside), mult in graph._memo(_common_neighborhood_pass):
+        counts[inside] += mult
     return tuple(sorted(counts.items()))
 
 

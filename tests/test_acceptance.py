@@ -122,7 +122,10 @@ def test_criterion_4_davis_p5_extended():
     g = build_cayley(rep.connection_set)
     d = is_self_complementary(g, hint=rep.connection_set, scan_automorphisms=False)
     assert d.isomorphic is False
-    assert d.certificate.kind in ("invariant-refutation", "search-exhausted")
+    # the README's headline: only the edge-neighborhood profile separates them
+    assert d.decided_by == "edge profile screen"
+    assert d.certificate.kind == "invariant-refutation"
+    assert d.certificate.invariant == "edge-neighborhood-edge-profile"
     print(f"  davis(5) decided by: {d.decided_by} ({d.certificate.invariant})")
     report("4 extended (Davis p=5 negative decision)", started, 3600.0)
 

@@ -115,6 +115,20 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", paley13_set, "--srg", "--timings")
         assert "timings_s" in json.loads(out)
 
+    def test_srg_counted_once_per_graph(self, capsys, paley13_set, monkeypatch):
+        from cayleycert import graphs
+
+        bodies = []
+        count_pairs = graphs._check_srg
+        monkeypatch.setattr(graphs, "_check_srg", lambda g: bodies.append(g) or count_pairs(g))
+        code, _, _ = run_cli(capsys, "verify", paley13_set, "--srg", "--pds", "--schur")
+        assert code == 0
+        assert len(bodies) == 1
+
+    def test_threads_is_a_usage_error(self, capsys, paley13_set):
+        assert run_cli(capsys, "verify", paley13_set, "--srg", "--threads", "2")[0] == 2
+        assert run_cli(capsys, "reproduce-paper", "--list", "--threads", "2")[0] == 2
+
     def test_edge_list_input(self, capsys, tmp_path):
         p = tmp_path / "p4.txt"
         p.write_text("0 1\n1 2\n2 3\n")

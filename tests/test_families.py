@@ -4,6 +4,7 @@ import pytest
 
 from cayleycert.cayley import build_cayley, validate_connection_set
 from cayleycert.families import (
+    _fourth_root,
     davis,
     paley,
     paley_type_order_feasible,
@@ -149,6 +150,15 @@ class TestOrderFeasibility:
         assert not ok
         ok, reason = paley_type_order_feasible(5625)
         assert ok and "9 n^4" in reason
+
+    def test_large_fourth_powers(self):
+        # m ** 0.25 in floating point is off by far more than one here
+        n = 15**20
+        assert paley_type_order_feasible(n**4) == (True, f"n^4 with odd n = {n} > 1")
+        assert paley_type_order_feasible(9 * n**4) == (True, f"9 n^4 with odd n = {n} > 1")
+        for m in (n**4, 9 * n**4):
+            assert _fourth_root(m - 1) is None and _fourth_root(m + 1) is None
+        assert _fourth_root(n**4) == n
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

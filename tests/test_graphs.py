@@ -3,17 +3,21 @@ mod-p ranks, and the graph6 / edge-list formats (graph6 against networkx)."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 
 from cayleycert.cayley import build_cayley, validate_connection_set
-from cayleycert.families import paley
+from cayleycert.families import davis, paley
 from cayleycert.groups import AbelianGroup
+from cayleycert import graphs
 from cayleycert.graphs import (
     DenseGraph,
+    SelfCheckError,
     SrgParams,
+    _edges_inside,
     check_adjacency_identity,
     check_srg,
     complement,
@@ -258,6 +262,62 @@ class TestInvariantCounts:
         profile = edge_neighborhood_edge_profile(g)
         _, quad, _ = invariant_counts(g)
         assert sum(v * c for v, c in profile) == 6 * quad
+
+
+def brute_edge_profile(g):
+    """Per edge, the adjacent pairs among the common neighbors, by itertools."""
+    counts = Counter()
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+            counts[sum(1 for a, b in itertools.combinations(common, 2) if g.has_edge(a, b))] += 1
+    return tuple(sorted(counts.items()))
+
+
+def brute_four_cliques(g):
+    """Vertex triples spanning a triangle above their common lowest neighbor."""
+    total = 0
+    for u in range(g.n):
+        above = [w for w in range(u + 1, g.n) if g.has_edge(u, w)]
+        total += sum(
+            1
+            for a, b, c in itertools.combinations(above, 3)
+            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+        )
+    return total
+
+
+class TestEdgesInsideKernel:
+    """The one edge-counting kernel and its projections against itertools."""
+
+    def corpus(self):
+        rng = random.Random(31)
+        out = [random_graph(rng.randrange(2, 12), rng.random(), rng) for _ in range(12)]
+        out += [paley_graph(13), build_cayley(davis(3).connection_set)]
+        return out + [complement(g) for g in out]
+
+    def test_mask_counts(self):
+        rng = random.Random(37)
+        for g in self.corpus():
+            for _ in range(5):
+                members = [v for v in range(g.n) if rng.random() < 0.5]
+                mask = sum(1 << v for v in members)
+                want = sum(1 for a, b in itertools.combinations(members, 2) if g.has_edge(a, b))
+                assert _edges_inside(g.rows, mask) == want
+
+    def test_profile_and_four_cliques(self):
+        for g in self.corpus():
+            assert edge_neighborhood_edge_profile(g) == brute_edge_profile(g)
+            assert invariant_counts(g)[1] == brute_four_cliques(g)
+
+    def test_inconsistent_counts_raise(self, monkeypatch):
+        g = paley_graph(13)
+        monkeypatch.setattr(graphs, "_common_neighborhood_pass", lambda graph: (((1, 0), 1),))
+        with pytest.raises(SelfCheckError):
+            invariant_counts(g)
+        monkeypatch.setattr(SrgParams, "count_identity_holds", lambda self: False)
+        with pytest.raises(SelfCheckError):
+            check_srg(g)
 
 
 class TestModPRank:

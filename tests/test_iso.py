@@ -4,13 +4,17 @@ certificate validation and the self-complementarity pipeline."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from cayleycert import groups, iso
 from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
 from cayleycert.families import davis, paley, peisert
-from cayleycert.graphs import DenseGraph, check_srg, complement
+from cayleycert.graphs import DenseGraph, SelfCheckError, check_srg, complement
 from cayleycert.groups import AbelianGroup
 from cayleycert.iso import (
+    IsoCertificate,
+    _deep_signature,
     are_isomorphic,
     fingerprint,
     is_self_complementary,
@@ -223,6 +227,27 @@ class TestRefinementInvariance:
             assert all(c1[v] == c2[perm[v]] for v in range(g.n))
 
 
+class TestDeepSignature:
+    def test_against_brute_force(self):
+        rng = random.Random(113)
+        for _ in range(10):
+            g = random_graph(rng.randrange(2, 12), 0.5, rng)
+            k = rng.randrange(1, 5)
+            colors = np.array([rng.randrange(k) for _ in range(g.n)], dtype=np.int64)
+            sig = _deep_signature(g, colors, k)
+            for v in range(g.n):
+                want = [int(colors[v])] + [
+                    sum(
+                        1
+                        for a, b in itertools.combinations(range(g.n), 2)
+                        if colors[a] == colors[b] == c
+                        and g.has_edge(v, a) and g.has_edge(v, b) and g.has_edge(a, b)
+                    )
+                    for c in range(k)
+                ]
+                assert sig[v].tolist() == want
+
+
 class TestGroupAutomorphismCertificates:
     @pytest.mark.parametrize("q", [5, 9, 13, 25])
     def test_paley_certificate(self, q):
@@ -305,6 +330,26 @@ class TestSelfComplementary:
             conn = lex_product(left, right)
             d = is_self_complementary(build_cayley(conn), hint=conn)
             assert d.isomorphic
+
+    def test_unscannable_group_falls_through_to_search(self, monkeypatch):
+        monkeypatch.setattr(groups, "AUT_MAX_CANDIDATES", 1)
+        rep = paley(13)
+        d = is_self_complementary(build_cayley(rep.connection_set), hint=rep.connection_set)
+        assert d.isomorphic is True
+        assert d.certificate.kind == "vertex-bijection"
+
+    def test_wrong_search_bijection_raises(self, monkeypatch):
+        monkeypatch.setattr(iso, "_ir_search", lambda g1, g2, *rest: list(range(g1.n)))
+        g = path(4)
+        with pytest.raises(SelfCheckError):
+            are_isomorphic(g, complement(g))
+
+    def test_wrong_scan_certificate_raises(self, monkeypatch):
+        cert = IsoCertificate(kind="group-automorphism", permutation=tuple(range(13)))
+        monkeypatch.setattr(iso, "selfcomp_by_group_automorphism", lambda conn: (cert, 1))
+        rep = paley(13)
+        with pytest.raises(SelfCheckError):
+            is_self_complementary(build_cayley(rep.connection_set), hint=rep.connection_set)
 
     def test_hint_must_match_graph(self):
         rep = paley(13)
