@@ -14,6 +14,7 @@ from typing import Optional
 
 from .cayley import ConnectionSet, validate_connection_set
 from .fields import (
+    FIELD_MAX_ORDER,
     FieldElement,
     FiniteField,
     make_field,
@@ -74,8 +75,14 @@ def _expect_half_size(conn: ConnectionSet, family: str) -> None:
         )
 
 
+def _check_field_budget(q: int) -> None:
+    if q > FIELD_MAX_ORDER:
+        raise ValueError(f"field order {q} exceeds the desk-scale budget {FIELD_MAX_ORDER}")
+
+
 def paley(q: int) -> ConstructionReport:
     """Cay(Z_p^r, squares of GF(q)); needs q a prime power with q = 1 mod 4."""
+    _check_field_budget(q)
     pr = prime_power_decomposition(q)
     if pr is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -100,6 +107,7 @@ def paley(q: int) -> ConstructionReport:
 
 def peisert(q: int, generator: Optional[FieldElement] = None) -> ConstructionReport:
     """Cay(Z_p^r, {a^i : i = 0,1 mod 4}); needs p = 3 mod 4 and r even."""
+    _check_field_budget(q)
     pr = prime_power_decomposition(q)
     if pr is None:
         raise ValueError(f"q = {q} is not a prime power")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Optional, Sequence
 
 from .groups import AbelianGroup
@@ -46,15 +47,77 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+#: prime_power_decomposition tries divisors below this bound, then roots.
+TRIAL_DIVISION_BOUND = 2**16
+#: The first 13 primes as Miller-Rabin bases decide primality exactly below
+#: this limit (Sorenson and Webster, 2017).
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """Strong probable-prime test of odd n > 41 to every base; False proves
+    n composite at any size, True proves it prime below MILLER_RABIN_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n: int, r: int) -> int:
+    """floor(n^(1/r)) for n >= 1 by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_decomposition(q: int) -> Optional[tuple[int, int]]:
-    """Return (p, r) with q = p^r, or None if q is not a prime power."""
+    """Return (p, r) with q = p^r, or None if q is not a prime power.
+
+    The smallest prime factor is sought by trial division below
+    TRIAL_DIVISION_BOUND; q is then a prime power exactly when it is a power
+    of that factor.  When there is none, every prime factor exceeds the bound,
+    and q is a prime power exactly when the root of its largest perfect power
+    is prime, which Miller-Rabin decides; a root that passes it at or above
+    MILLER_RABIN_LIMIT raises ValueError.
+    """
     if q < 2:
         return None
-    fac = factorize(q)
-    if len(fac) != 1:
+    for d in range(2, min(TRIAL_DIVISION_BOUND, isqrt(q) + 1)):
+        if q % d == 0:
+            r = 0
+            while q % d == 0:
+                q //= d
+                r += 1
+            return (d, r) if q == 1 else None
+    if q < TRIAL_DIVISION_BOUND**2:
+        return q, 1
+    # every prime factor exceeds 2^16, so an r-th root needs r < bits / 16
+    for r in range((q.bit_length() - 1) // 16, 0, -1):
+        root = _integer_root(q, r)
+        if root**r == q:
+            break
+    if not _passes_miller_rabin(root):
         return None
-    ((p, r),) = fac.items()
-    return p, r
+    if root >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"cannot decide whether {q} is a prime power: {root} is beyond the exact primality range"
+        )
+    return root, r
 
 
 # --- polynomial arithmetic over Z_p (constant term first) --------------------

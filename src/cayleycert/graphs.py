@@ -1,9 +1,12 @@
 """Dense undirected simple graphs with exact structural certification.
 
 Adjacency lives in packed bit rows (Python ints), so common-neighbor counts
-are single AND+popcount operations; a numpy uint8 mirror is cached for the
-vectorized kernels (mod-p rank, color refinement).  Everything is exact
-integer arithmetic; there is no floating-point spectral computation.
+are single AND+popcount operations and the GF(2) rank is an XOR basis of the
+rows; a numpy uint8 mirror is cached for the vectorized kernels: the per-edge
+common-neighbourhood pass (one float32 product per vertex, exact because
+every value is an integer below 2^24), the odd-p ranks (lazily reduced
+elimination in int32 or int64) and color refinement.  Every result is exact;
+there is no floating-point spectral computation.
 """
 
 from __future__ import annotations
@@ -297,19 +300,24 @@ def is_connected(graph: DenseGraph) -> bool:
     return reached == (1 << graph.n) - 1
 
 
+def sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
+    """Per source vertex, the sizes of its distance spheres (sphere 0 first),
+    from one all-source BFS pass per graph."""
+    return graph._memo(_sphere_sizes)
+
+
+def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(m.bit_count() for m in _bfs_layers(graph, s)) for s in range(graph.n)
+    )
+
+
 def diameter(graph: DenseGraph) -> Optional[int]:
     """Maximum eccentricity, or None when the graph is disconnected."""
-    full = (1 << graph.n) - 1
-    worst = 0
-    for s in range(graph.n):
-        layers = _bfs_layers(graph, s)
-        reached = 0
-        for m in layers:
-            reached |= m
-        if reached != full:
-            return None
-        worst = max(worst, len(layers) - 1)
-    return worst
+    spheres = sphere_sizes(graph)
+    if any(sum(sizes) != graph.n for sizes in spheres):
+        return None
+    return max(len(sizes) - 1 for sizes in spheres)
 
 
 def check_srg(graph: DenseGraph) -> SrgResult:
@@ -418,12 +426,28 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
 
 def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:
     """Multiset over edges u < v of (|N(u) & N(v)|, e(G[N(u) & N(v)])), as
-    sorted ((count, edges), multiplicity) pairs."""
-    rows = graph.rows
+    sorted ((count, edges), multiplicity) pairs.
+
+    One small matrix product per vertex u: B is the float32 adjacency of
+    G[N(u)], so row v of B is the indicator of N(u) & N(v) inside N(u).  Its
+    row sum is |N(u) & N(v)|, and diag(B^3) at v, the row sum of
+    (B @ B) * B at v, sees every edge of G[N(u) & N(v)] twice.  The product
+    is exact: every entry and every partial sum of B @ B is an integer at
+    most k < MAX_VERTICES < 2^24, which float32 represents exactly in any
+    summation order.  The elementwise product is cast to int64 before its row
+    sum, so that sum needs no bound.
+    """
+    A = graph.adjacency()
     counts: Counter[tuple[int, int]] = Counter()
-    for u, v in graph.edges():
-        common = rows[u] & rows[v]
-        counts[common.bit_count(), _edges_inside(rows, common)] += 1
+    for u in range(graph.n):
+        nbrs = np.flatnonzero(A[u])
+        B = A[nbrs][:, nbrs].astype(np.float32)
+        upper = B[nbrs > u]
+        common = upper.sum(axis=1, dtype=np.int64)
+        twice = ((upper @ B) * upper).sum(axis=1, dtype=np.int64)
+        if (twice & 1).any():
+            raise SelfCheckError(f"odd diag(B^3) in the neighbourhood of vertex {u}")
+        counts.update(zip(common.tolist(), (twice // 2).tolist()))
     return tuple(sorted(counts.items()))
 
 
@@ -452,33 +476,79 @@ def edge_neighborhood_edge_profile(graph: DenseGraph) -> tuple[tuple[int, int], 
     return tuple(sorted(counts.items()))
 
 
+_INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
+
+
 def mod_p_rank(graph: DenseGraph, p: int, shift: int = 0) -> int:
-    """Rank of (A + shift*I) over Z_p by Gaussian elimination."""
+    """Rank of (A + shift*I) over Z_p: an XOR basis of the bit rows for p = 2,
+    lazily reduced Gaussian elimination in machine integers for odd p."""
     from .fields import is_prime
 
+    if p > 2 and (p - 1) ** 2 + p > _INT64_MAX:
+        raise ValueError(f"p = {p} is too large for exact elimination in int64")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p == 2:
+        return _gf2_rank(r ^ ((shift % 2) << u) for u, r in enumerate(graph.rows))
+    return _odd_p_rank(graph, p, shift)
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    """Size of an XOR basis kept by leading bit: each row is reduced by the
+    basis vectors of its successive leading bits until it vanishes or leads
+    with a new bit."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = r
+                break
+            r ^= b
+    return len(basis)
+
+
+def _odd_p_rank(graph: DenseGraph, p: int, shift: int) -> int:
+    """Gaussian elimination over Z_p with delayed reduction.
+
+    Only the pivot column (to find the pivot) and the pivot row (before it is
+    scaled by the inverse) are reduced mod p.  The trailing block is left
+    unreduced: an entry starts in [0, p) and each step subtracts a product of
+    two reduced values, moving it by at most (p-1)^2.  So after s steps its
+    magnitude is below p + s*(p-1)^2.  int32 holds that for all n steps when
+    p + n*(p-1)^2 <= 2^31 - 1; otherwise int64 is used and the trailing
+    block is reduced whenever one more step could pass 2^63 - 1.
+    """
     n = graph.n
-    M = graph.adjacency().astype(np.int64)
-    if shift % p:
-        M[np.arange(n), np.arange(n)] += shift
+    step = (p - 1) ** 2
+    if p + n * step <= _INT32_MAX:
+        dtype, budget = np.int32, n
+    else:
+        dtype, budget = np.int64, (_INT64_MAX - p) // step
+    M = graph.adjacency().astype(dtype)
+    M[np.arange(n), np.arange(n)] += shift % p
     M %= p
-    rank = 0
+    rank = steps = 0
     for col in range(n):
-        pivots = np.nonzero(M[rank:, col])[0]
-        if pivots.size == 0:
+        column = M[rank:, col] % p
+        hits = np.flatnonzero(column)
+        if hits.size == 0:
             continue
-        piv = rank + int(pivots[0])
+        piv = rank + int(hits[0])
         if piv != rank:
-            M[[rank, piv]] = M[[piv, rank]]
-        inv = pow(int(M[rank, col]), -1, p)
-        M[rank] = (M[rank] * inv) % p
-        below = M[rank + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            M[rank + 1 + hit] = (
-                M[rank + 1 + hit] - below[hit, None] * M[rank]
-            ) % p
+            M[[rank, piv], col:] = M[[piv, rank], col:]
+        inv = pow(int(column[hits[0]]), -1, p)
+        pivot_row = (M[rank, col + 1 :] % p) * inv % p
+        below = hits[1:]
+        if below.size:
+            if steps == budget:
+                M[rank + 1 :, col + 1 :] %= p
+                steps = 0
+            rows = rank + below
+            M[rows, col + 1 :] -= column[below, None] * pivot_row
+            steps += 1
         rank += 1
         if rank == n:
             break

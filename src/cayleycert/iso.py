@@ -4,9 +4,10 @@ Decision pipeline, cheapest sound step first:
 
   1. group-automorphism certificate scan (Cayley inputs only): find sigma
      with sigma(S) = complement set; absence is inconclusive, never negative.
-  2. invariant screens: the pinned fingerprint record, then for
-     same-parameter strongly regular pairs a spectral mod-p rank screen and
-     the edge-neighborhood edge-count profile.  A mismatch refutes.
+  2. invariant screens: the pinned fingerprint fields, each computed only
+     while the ones before it agree, then for same-parameter strongly
+     regular pairs a spectral mod-p rank screen and the edge-neighborhood
+     edge-count profile.  A mismatch refutes.
   3. individualization-refinement backtracking search: complete decider,
      returns an explicit vertex bijection or exhausts the tree.
 
@@ -29,13 +30,13 @@ from .graphs import (
     DenseGraph,
     SelfCheckError,
     SrgParams,
-    _bfs_layers,
     _edges_inside,
     check_srg,
     complement,
     edge_neighborhood_edge_profile,
     invariant_counts,
     mod_p_rank,
+    sphere_sizes,
 )
 from .groups import AutEnumerationError, GroupAutomorphism, _automorphism_batches
 
@@ -131,38 +132,59 @@ class Fingerprint:
         "distance_distribution",
     )
 
-    def first_difference(self, other: "Fingerprint") -> Optional[tuple[str, tuple]]:
-        for name in self.FIELDS:
-            a, b = getattr(self, name), getattr(other, name)
-            if a != b:
-                return name, (a, b)
-        return None
 
-
-def fingerprint(graph: DenseGraph) -> Fingerprint:
-    tri, quad, degrees = invariant_counts(graph)
+def _srg_params(graph: DenseGraph) -> Optional[tuple[int, int, int, int]]:
     srg = check_srg(graph)
-    ranks = tuple(
+    return srg.params.as_tuple() if srg.is_srg else None
+
+
+def _mod_ranks(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:
+    return tuple(
         ((p, shift), mod_p_rank(graph, p, shift))
         for p in FINGERPRINT_PRIMES
         for shift in (0, 1)
     )
-    profiles = []
-    for s in range(graph.n):
-        layers = _bfs_layers(graph, s)
-        reached = sum(m.bit_count() for m in layers)
-        profiles.append(
-            tuple(m.bit_count() for m in layers) + ((graph.n - reached,) if reached < graph.n else ())
+
+
+def _distance_distribution(graph: DenseGraph) -> tuple:
+    """Sorted per-source sphere sizes, each followed by the unreached count
+    when the graph is disconnected."""
+    n = graph.n
+    return tuple(
+        sorted(
+            sizes + ((n - sum(sizes),) if sum(sizes) < n else ())
+            for sizes in sphere_sizes(graph)
         )
-    return Fingerprint(
-        n=graph.n,
-        degrees=degrees,
-        srg=srg.params.as_tuple() if srg.is_srg else None,
-        triangles=tri,
-        four_cliques=quad,
-        mod_ranks=ranks,
-        distance_distribution=tuple(sorted(profiles)),
     )
+
+
+#: How each field of Fingerprint.FIELDS is computed from one graph.
+_FIELD_VALUES = {
+    "n": lambda g: g.n,
+    "degrees": lambda g: tuple(sorted(g.degrees())),
+    "srg": _srg_params,
+    "triangles": lambda g: invariant_counts(g)[0],
+    "four_cliques": lambda g: invariant_counts(g)[1],
+    "mod_ranks": _mod_ranks,
+    "distance_distribution": _distance_distribution,
+}
+
+
+def fingerprint(graph: DenseGraph) -> Fingerprint:
+    return Fingerprint(**{name: _FIELD_VALUES[name](graph) for name in Fingerprint.FIELDS})
+
+
+def _first_fingerprint_difference(
+    g1: DenseGraph, g2: DenseGraph
+) -> Optional[tuple[str, tuple]]:
+    """The first field of Fingerprint.FIELDS on which the graphs differ, with
+    both values; each field is computed only after the ones before it agree."""
+    for name in Fingerprint.FIELDS:
+        value = _FIELD_VALUES[name]
+        a, b = value(g1), value(g2)
+        if a != b:
+            return name, (a, b)
+    return None
 
 
 # --- certificate checking ----------------------------------------------------------
@@ -465,8 +487,7 @@ def are_isomorphic(
         )
     srg1 = check_srg(g1)
     if not force_search:
-        fp1, fp2 = fingerprint(g1), fingerprint(g2)
-        diff = fp1.first_difference(fp2)
+        diff = _first_fingerprint_difference(g1, g2)
         if diff is not None:
             name, values = diff
             return IsoDecision(

@@ -56,6 +56,15 @@ class TestConstruct:
         assert code == 2
         assert "mod 4" in err
 
+    @pytest.mark.parametrize("family", ["paley", "peisert"])
+    def test_field_order_over_budget_exits_2(self, capsys, tmp_path, family):
+        # 1000000007 * 1000000009: the budget is checked before q is decomposed
+        code, _, err = run_cli(
+            capsys, "construct", family, "--q", "1000000016000000063", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "budget" in err
+
     def test_missing_param_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "construct", "davis", "--out", str(tmp_path))
         assert code == 2

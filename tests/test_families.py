@@ -160,6 +160,13 @@ class TestOrderFeasibility:
             assert _fourth_root(m - 1) is None and _fourth_root(m + 1) is None
         assert _fourth_root(n**4) == n
 
+    def test_orders_without_small_factorization(self):
+        # trial division of 3^41 + 2 or of the whole order never finishes
+        n = 3**41 + 2
+        assert paley_type_order_feasible(9 * n**4) == (True, f"9 n^4 with odd n = {n} > 1")
+        assert paley_type_order_feasible(n**4) == (True, f"n^4 with odd n = {n} > 1")
+        assert not paley_type_order_feasible(1000000007 * 1000000009)[0]
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             paley_type_order_feasible(0)

@@ -35,6 +35,27 @@ class TestPrimes:
         assert prime_power_decomposition(45) is None
         assert prime_power_decomposition(1) is None
 
+    def test_prime_power_against_factorize(self):
+        for q in range(1, 5000):
+            fac = factorize(q)
+            want = next(iter(fac.items())) if len(fac) == 1 else None
+            assert prime_power_decomposition(q) == want, q
+
+    def test_prime_power_without_small_factors(self):
+        # every prime factor here exceeds the trial-division bound 2^16
+        big = 1000000007
+        assert prime_power_decomposition(big**3) == (big, 3)
+        assert prime_power_decomposition(big * 1000000009) is None
+        assert prime_power_decomposition(65537**40) == (65537, 40)
+        assert prime_power_decomposition(65537**40 * 65539) is None
+        assert prime_power_decomposition((2**61 - 1) ** 2) == (2**61 - 1, 2)
+        # a strong pseudoprime to the first nine prime bases, 149491 * 747451 * 34233211
+        assert prime_power_decomposition(3825123056546413051) is None
+        # Miller-Rabin proves (2^89-1)(2^107-1) composite, but cannot prove 2^89-1 prime
+        assert prime_power_decomposition((2**89 - 1) * (2**107 - 1)) is None
+        with pytest.raises(ValueError, match="exact primality range"):
+            prime_power_decomposition(2**89 - 1)
+
 
 class TestConstruction:
     def test_modulus_examples(self):

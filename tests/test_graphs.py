@@ -3,6 +3,8 @@ mod-p ranks, and the graph6 / edge-list formats (graph6 against networkx)."""
 
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -320,6 +322,55 @@ class TestEdgesInsideKernel:
             check_srg(g)
 
 
+def reference_pass(g):
+    """The per-edge loop the matrix-product pass replaced: one _edges_inside
+    count per edge."""
+    counts = Counter()
+    for u, v in g.edges():
+        common = g.rows[u] & g.rows[v]
+        counts[common.bit_count(), _edges_inside(g.rows, common)] += 1
+    return tuple(sorted(counts.items()))
+
+
+ODD_DIAGONAL_FAULT = """
+import numpy as np
+from cayleycert import graphs
+
+g = graphs.DenseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+mirror = np.zeros((4, 4), dtype=np.uint8)
+mirror[0, 1:] = mirror[1:, 0] = 1
+mirror[1, 2] = mirror[1, 3] = mirror[2, 3] = 1  # one arc per edge of the triangle in N(0)
+g._cache[graphs._unpack_rows] = mirror
+try:
+    graphs._common_neighborhood_pass(g)
+except graphs.SelfCheckError as exc:
+    print(exc)
+"""
+
+
+class TestCommonNeighborhoodPass:
+    """The per-vertex matrix-product pass against the per-edge loop."""
+
+    def corpus(self):
+        rng = random.Random(41)
+        out = [random_graph(rng.randrange(40, 151), rng.random(), rng) for _ in range(4)]
+        part = random_graph(30, 0.5, rng)
+        out.append(DenseGraph(list(part.rows) + [0] * 20, 50))  # 20 more, all isolated
+        out += [complete(45), DenseGraph([0] * 40)]
+        return out + [complement(g) for g in out]
+
+    def test_against_per_edge_loop(self):
+        for g in self.corpus():
+            assert graphs._common_neighborhood_pass(g) == reference_pass(g)
+
+    def test_odd_diagonal_raises_under_optimization(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", ODD_DIAGONAL_FAULT], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "odd diag(B^3)" in proc.stdout
+
+
 class TestModPRank:
     def test_examples(self):
         assert mod_p_rank(cycle(5), 2) == 4
@@ -327,15 +378,28 @@ class TestModPRank:
         assert mod_p_rank(complete(3), 3, shift=1) == 1  # A+I = J over Z_3
 
     def test_against_oracle(self):
+        # 46337 and 46349 are the primes either side of one step fitting int32;
+        # 2^31 - 1 and the largest prime whose step fits int64 reduce the
+        # trailing block every step.  The integer eigenvalues of paley(9),
+        # paley(25) and C6 (shifts -1, 2, 3) make A + shift*I singular, which
+        # only exact elimination reproduces.
         rng = random.Random(29)
-        for _ in range(6):
-            g = random_graph(rng.randrange(3, 10), 0.5, rng)
-            for p in (2, 3, 5):
-                for shift in (0, 1, 2):
+        corpus = [random_graph(rng.randrange(3, 13), rng.random(), rng) for _ in range(8)]
+        corpus += [paley_graph(9), paley_graph(25), cycle(6)]
+        for p in (2, 3, 5, 7, 11, 46337, 46349, 2**31 - 1, 3037000493):
+            for shift in (0, 1, 2, p - 1, p + 3, -1):
+                for g in corpus:
                     A = g.adjacency().astype(int).tolist()
                     for i in range(g.n):
                         A[i][i] += shift
                     assert mod_p_rank(g, p, shift) == rank_oracle(A, p)
+
+    def test_rejects_primes_too_large_for_int64(self):
+        # 4294967311 is prime, but one elimination step, (p-1)^2, passes 2^63
+        with pytest.raises(ValueError, match="too large"):
+            mod_p_rank(cycle(5), 4294967311)
+        with pytest.raises(ValueError, match="too large"):
+            mod_p_rank(cycle(5), 2**127 - 1)  # rejected before trial division
 
     def test_permutation_invariance(self):
         rng = random.Random(31)

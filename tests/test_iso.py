@@ -203,6 +203,30 @@ class TestFingerprint:
         fp = fingerprint(DenseGraph([0, 0]))
         assert fp.distance_distribution == ((1, 1), (1, 1))
 
+    def test_decision_stops_at_first_differing_field(self, monkeypatch):
+        # C6 and two triangles agree on n, degrees and srg, and differ in triangles
+        two_triangles = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        fp1, fp2 = fingerprint(cycle(6)), fingerprint(two_triangles)
+        differing = [name for name in fp1.FIELDS if getattr(fp1, name) != getattr(fp2, name)]
+        assert differing[0] == "triangles"
+        ranks = []
+        monkeypatch.setattr(iso, "mod_p_rank", lambda *args: ranks.append(args))
+        d = are_isomorphic(cycle(6), two_triangles)
+        assert (d.certificate.invariant, d.certificate.values) == ("triangles", (0, 2))
+        assert ranks == []
+
+    def test_one_all_source_bfs_per_graph(self, monkeypatch):
+        from cayleycert import graphs
+
+        sources = []
+        bfs = graphs._bfs_layers
+        monkeypatch.setattr(graphs, "_bfs_layers", lambda g, s: sources.append(s) or bfs(g, s))
+        g = build_cayley(paley(13).connection_set)
+        fingerprint(g)
+        assert graphs.diameter(g) == 2
+        # check_srg's connectivity test from vertex 0, then one pass from every source
+        assert sources == [0] + list(range(g.n))
+
 
 class TestRefinementInvariance:
     def test_stable_color_class_sizes_invariant(self):
