@@ -75,14 +75,14 @@ def _expect_half_size(conn: ConnectionSet, family: str) -> None:
         )
 
 
-def _check_field_budget(q: int) -> None:
-    if q > FIELD_MAX_ORDER:
-        raise ValueError(f"field order {q} exceeds the desk-scale budget {FIELD_MAX_ORDER}")
+def _check_order_budget(kind: str, order: int) -> None:
+    if order > FIELD_MAX_ORDER:
+        raise ValueError(f"{kind} order {order} exceeds the desk-scale budget {FIELD_MAX_ORDER}")
 
 
 def paley(q: int) -> ConstructionReport:
     """Cay(Z_p^r, squares of GF(q)); needs q a prime power with q = 1 mod 4."""
-    _check_field_budget(q)
+    _check_order_budget("field", q)
     pr = prime_power_decomposition(q)
     if pr is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -107,7 +107,7 @@ def paley(q: int) -> ConstructionReport:
 
 def peisert(q: int, generator: Optional[FieldElement] = None) -> ConstructionReport:
     """Cay(Z_p^r, {a^i : i = 0,1 mod 4}); needs p = 3 mod 4 and r even."""
-    _check_field_budget(q)
+    _check_order_budget("field", q)
     pr = prime_power_decomposition(q)
     if pr is None:
         raise ValueError(f"q = {q} is not a prime power")
@@ -153,6 +153,7 @@ def davis(p: int) -> ConstructionReport:
     C collects the order-p^2 elements of one batch of cyclic subgroups of
     order p^2, D all non-identity elements of another; S = C union D.
     """
+    _check_order_budget("group", p**4)
     if p == 2 or not is_prime(p):
         raise ValueError(f"davis construction needs an odd prime, got {p}")
     n = p * p

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ GroupElement = tuple[int, ...]
 #: Enumeration limits for enumerate_automorphisms.
 AUT_MAX_ORDER = 2**16
 AUT_MAX_CANDIDATES = 10**8
+#: Candidates tested per automorphism batch; a scan that stops early has
+#: paid for its own batch only.
+AUT_BATCH_SIZE = 1024
 
 #: Largest group order for which the dense index addition table is built.
 ADD_TABLE_MAX_ORDER = 4096
@@ -253,44 +256,65 @@ def _is_permutation(perm: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _allowed_image_indices(G: AbelianGroup) -> list[np.ndarray]:
-    """Per generator position, indices of elements whose order divides the modulus."""
-    orders = np.array([G.element_order(g) for g in G.elements()], dtype=np.int64)
-    return [np.nonzero(n % orders == 0)[0] for n in G.factors]
+def _element_orders(G: AbelianGroup) -> np.ndarray:
+    """Order of every element, by index."""
+    factors = np.array(G.factors, dtype=np.int64)
+    return np.lcm.reduce(factors // np.gcd(G.residue_matrix, factors), axis=1)
+
+
+def _prime_order_representatives(G: AbelianGroup, orders: np.ndarray) -> np.ndarray:
+    """Residues of one generator of each subgroup of prime order, as rows.
+
+    An element x of prime order p has coordinates c_j n_j / p with c_j in
+    [0, p), and its nonzero multiples scale c by 1, ..., p - 1, so exactly one
+    generator of <x> has its first nonzero c_j equal to 1.  The element orders
+    above 1 that no smaller one divides are the primes dividing |G|, since
+    each of those primes is an element order (Cauchy).
+    """
+    values = np.unique(orders[orders > 1])
+    primes = [m for m in values if not (m % values[values < m] == 0).any()]
+    res = G.residue_matrix
+    first = (res != 0).argmax(axis=1)
+    lead = res[np.arange(G.order), first]
+    factors = np.array(G.factors, dtype=np.int64)
+    return res[np.isin(orders, primes) & (lead * orders == factors[first])]
 
 
 def _automorphism_batches(
-    G: AbelianGroup, batch_size: Optional[int] = None
+    G: AbelianGroup, batch_size: int = AUT_BATCH_SIZE
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (image_index_tuples, induced_permutations) for valid automorphisms.
+    """Yield (image_index_tuples, image_residues) for the automorphisms of G.
 
-    Candidates run in mixed-radix order over generator-image index tuples;
-    invalid (non-bijective) candidates are filtered out, order preserved.
+    Candidates run in mixed-radix order over generator-image index tuples,
+    batch_size at a time; a batch yields its bijective candidates in order,
+    with image_residues[b, i] the residues of the image of e_i.  A candidate
+    is a homomorphism, so it is bijective iff its kernel is trivial, and a
+    nontrivial kernel contains a whole subgroup of prime order: the test maps
+    one generator of each such subgroup and rejects the candidate if any
+    lands on 0.
     """
     if G.order > AUT_MAX_ORDER:
         raise AutEnumerationError(
             f"enumeration infeasible: order {G.order} exceeds {AUT_MAX_ORDER}"
         )
-    allowed = _allowed_image_indices(G)
+    orders = _element_orders(G)
+    # Per generator position, the elements whose order divides the modulus.
+    allowed = [np.nonzero(n % orders == 0)[0] for n in G.factors]
     total = prod(len(a) for a in allowed)
     if total > AUT_MAX_CANDIDATES:
         raise AutEnumerationError(
             f"enumeration infeasible: {total} candidate image tuples exceed "
             f"{AUT_MAX_CANDIDATES}"
         )
-    n, k = G.order, G.rank
+    k = G.rank
     res = G.residue_matrix
-    factors = np.array(G.factors, dtype=np.int64)
-    weights = G.index_weights
-    if batch_size is None:
-        batch_size = max(1, 2**22 // max(1, n * k))
+    reps = _prime_order_representatives(G, orders)
 
     sizes = [len(a) for a in allowed]
     radix = np.ones(k, dtype=np.int64)
     for pos in range(k - 2, -1, -1):
         radix[pos] = radix[pos + 1] * sizes[pos + 1]
 
-    ident = np.arange(n, dtype=np.int64)
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
         flat = np.arange(start, stop, dtype=np.int64)
@@ -301,19 +325,20 @@ def _automorphism_batches(
             digit, rem = np.divmod(rem, radix[pos])
             img_idx[:, pos] = allowed[pos][digit]
         mats = res[img_idx]  # (B, k, k): row i = residues of image of e_i
-        mapped = np.einsum("nk,bkj->bnj", res, mats) % factors
-        perms = mapped @ weights  # (B, n)
-        ok = (np.sort(perms, axis=1) == ident).all(axis=1)
+        in_kernel = np.ones((stop - start, len(reps)), dtype=bool)
+        for j, n in enumerate(G.factors):
+            in_kernel &= mats[:, :, j] @ reps.T % n == 0  # coordinate j of sigma(rep)
+        ok = ~in_kernel.any(axis=1)
         if ok.any():
-            yield img_idx[ok], perms[ok]
+            yield img_idx[ok], mats[ok]
 
 
 def enumerate_automorphisms(
-    G: AbelianGroup, batch_size: Optional[int] = None
+    G: AbelianGroup, batch_size: int = AUT_BATCH_SIZE
 ) -> Iterator[GroupAutomorphism]:
     """Every automorphism of G exactly once, in deterministic candidate order."""
     elems = G.elements()
-    for img_idx, _perms in _automorphism_batches(G, batch_size):
+    for img_idx, _mats in _automorphism_batches(G, batch_size):
         for row in img_idx:
             yield GroupAutomorphism(G, tuple(elems[i] for i in row))
 

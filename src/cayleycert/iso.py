@@ -220,6 +220,10 @@ def selfcomp_by_group_automorphism(
 
     Returns (certificate, automorphisms scanned).  No certificate is NOT a
     proof of non-self-complementarity; callers must treat it as inconclusive.
+    Every sigma is bijective and |S| = |N|, so sigma(S) = N iff sigma maps
+    each s in S into N: the scan maps S one element at a time over the
+    automorphisms of a batch that have passed so far, and expands only the
+    first that passes all of S to a permutation, which is checked in full.
     """
     G = conn.group
     s_idx = np.array(conn.indices(), dtype=np.int64)
@@ -228,19 +232,31 @@ def selfcomp_by_group_automorphism(
     if len(s_idx) != len(n_idx):
         # |S| != (|G|-1)/2: no automorphism can match the sizes.
         return None, 0
-    elems = G.elements()
-    for img_idx, perms in _automorphism_batches(G):
-        images = np.sort(perms[:, s_idx], axis=1) if len(s_idx) else perms[:, :0]
-        hits = np.nonzero((images == n_idx).all(axis=1))[0]
-        if hits.size:
-            hit = int(hits[0])
+    in_n = np.zeros(G.order, dtype=bool)
+    in_n[n_idx] = True
+    probes = G.residue_matrix[s_idx]
+    factors = np.array(G.factors, dtype=np.int64)
+    for img_idx, mats in _automorphism_batches(G):
+        alive = np.arange(len(img_idx))
+        for s in probes:
+            if not alive.size:
+                break
+            alive = alive[in_n[(s @ mats[alive] % factors) @ G.index_weights]]
+        if alive.size:
+            hit = int(alive[0])
             scanned += hit + 1
-            sigma = GroupAutomorphism(G, tuple(elems[i] for i in img_idx[hit]))
+            sigma = GroupAutomorphism(G, tuple(G.element_of(int(i)) for i in img_idx[hit]))
+            perm = sigma.as_permutation()
+            if not (_is_perm(perm) and np.array_equal(np.sort(perm[s_idx]), n_idx)):
+                raise SelfCheckError(
+                    f"automorphism {sigma.generator_images} passed the scan but does "
+                    "not carry S onto its complement"
+                )
             return (
                 IsoCertificate(
                     kind="group-automorphism",
                     automorphism=sigma,
-                    permutation=tuple(int(x) for x in perms[hit]),
+                    permutation=tuple(int(x) for x in perm),
                     scanned=scanned,
                 ),
                 scanned,

@@ -65,6 +65,14 @@ class TestConstruct:
         assert code == 2
         assert "budget" in err
 
+    def test_davis_group_order_over_budget_exits_2(self, capsys, tmp_path):
+        # the prime 10^18 + 3: p^4 is checked before p is tested for primality
+        code, _, err = run_cli(
+            capsys, "construct", "davis", "--p", "1000000000000000003", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "budget" in err
+
     def test_missing_param_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "construct", "davis", "--out", str(tmp_path))
         assert code == 2

@@ -111,6 +111,12 @@ class TestDavis:
         with pytest.raises(ValueError):
             davis(9)
 
+    def test_group_order_budget(self):
+        # p^4 is checked before the trial-division primality test of p
+        assert davis(7).connection_set.size == (7**4 - 1) // 2
+        with pytest.raises(ValueError, match="budget"):
+            davis(11)
+
     def test_inverse_closed_identity_free(self):
         for p in (3, 5):
             conn = davis(p).connection_set

@@ -1,17 +1,26 @@
 """Abelian group arithmetic, enumeration order, and automorphism streams."""
 
 import random
+from math import prod
 
+import numpy as np
 import pytest
 
+from cayleycert.cayley import build_cayley, validate_connection_set
+from cayleycert.families import davis
+from cayleycert.graphs import complement, invariant_counts
 from cayleycert.groups import (
     AbelianGroup,
     AutEnumerationError,
+    _automorphism_batches,
+    _element_orders,
+    _prime_order_representatives,
     count_automorphisms,
     enumerate_automorphisms,
     make_automorphism,
     parse_group_spec,
 )
+from cayleycert.iso import selfcomp_by_group_automorphism
 
 
 def brute_force_automorphism_count(G: AbelianGroup) -> int:
@@ -39,6 +48,90 @@ def brute_force_automorphism_count(G: AbelianGroup) -> int:
             if G.factors[pos] % G.element_order(cand) == 0:
                 stack.append(partial + (cand,))
     return count
+
+
+def reference_automorphism_batches(G: AbelianGroup):
+    """The full-permutation filter the kernel test replaced: map all n
+    elements for every candidate tuple of generator images, in the same
+    mixed-radix order, and keep the candidate when the sorted map is 0..n-1.
+    Yields (image_index_tuples, induced_permutations)."""
+    orders = np.array([G.element_order(g) for g in G.elements()], dtype=np.int64)
+    allowed = [np.nonzero(n % orders == 0)[0] for n in G.factors]
+    total = prod(len(a) for a in allowed)
+    n, k = G.order, G.rank
+    res = G.residue_matrix
+    factors = np.array(G.factors, dtype=np.int64)
+    batch_size = max(1, 2**22 // (n * k))
+    radix = np.ones(k, dtype=np.int64)
+    for pos in range(k - 2, -1, -1):
+        radix[pos] = radix[pos + 1] * len(allowed[pos + 1])
+    for start in range(0, total, batch_size):
+        rem = np.arange(start, min(start + batch_size, total), dtype=np.int64)
+        img_idx = np.empty((len(rem), k), dtype=np.int64)
+        for pos in range(k):
+            digit, rem = np.divmod(rem, radix[pos])
+            img_idx[:, pos] = allowed[pos][digit]
+        perms = (np.einsum("nk,bkj->bnj", res, res[img_idx]) % factors) @ G.index_weights
+        ok = (np.sort(perms, axis=1) == np.arange(n)).all(axis=1)
+        if ok.any():
+            yield img_idx[ok], perms[ok]
+
+
+def hillar_rhea_order(factors) -> int:
+    """|Aut(G)| from Hillar and Rhea, "Automorphisms of finite abelian groups"
+    (Amer. Math. Monthly 114, 2007), Theorem 4.1, one p-part at a time.  For
+    Z_{p^e_1} x ... x Z_{p^e_m} with e_1 <= ... <= e_m, d_k = max{l : e_l = e_k}
+    and c_k = min{l : e_l = e_k} (1-based), the order is
+    prod_k (p^d_k - p^(k-1)) * prod_j p^(e_j (m - d_j)) * prod_i p^((e_i - 1)(m - c_i + 1))."""
+    exps: dict[int, list[int]] = {}
+    for n in factors:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e:
+                exps.setdefault(p, []).append(e)
+            p += 1
+    out = 1
+    for p, es in exps.items():
+        es.sort()
+        m = len(es)
+        d = [max(l for l in range(1, m + 1) if es[l - 1] == e) for e in es]
+        c = [min(l for l in range(1, m + 1) if es[l - 1] == e) for e in es]
+        for k in range(1, m + 1):
+            out *= p ** d[k - 1] - p ** (k - 1)
+            out *= p ** (es[k - 1] * (m - d[k - 1]))
+            out *= p ** ((es[k - 1] - 1) * (m - c[k - 1] + 1))
+    return out
+
+
+def factor_lists(max_order: int, max_len: int) -> list[tuple[int, ...]]:
+    """Every tuple of at most max_len factors >= 2 with product <= max_order."""
+    out = []
+
+    def extend(prefix: tuple[int, ...], room: int) -> None:
+        if prefix:
+            out.append(prefix)
+        if len(prefix) < max_len:
+            for n in range(2, room + 1):
+                extend(prefix + (n,), room // n)
+
+    extend((), max_order)
+    return out
+
+
+def random_non_selfcomplementary_set(G: AbelianGroup, rng: random.Random):
+    """A seeded inverse-closed set of size (n-1)/2 whose Cayley graph has a
+    triangle count different from its complement's; n = 1 mod 4."""
+    pairs = [g for g in G.elements() if g != G.identity and G.index_of(g) < G.index_of(G.neg(g))]
+    while True:
+        chosen = rng.sample(pairs, len(pairs) // 2)
+        conn = validate_connection_set(G, chosen + [G.neg(g) for g in chosen])
+        g = build_cayley(conn)
+        if invariant_counts(g)[0] != invariant_counts(complement(g))[0]:
+            return conn
 
 
 class TestArithmetic:
@@ -216,6 +309,66 @@ class TestAutomorphisms:
     def test_budget_error(self):
         with pytest.raises(AutEnumerationError):
             next(iter(enumerate_automorphisms(AbelianGroup((65537,)))))
+
+
+KERNEL_TEST_GROUPS = [
+    (2, 4), (4, 6), (8,), (12,), (2, 2, 2), (2, 2, 4), (3, 3, 3), (3, 9), (4, 4),
+    (6, 10), (2, 6, 3), (9, 9),
+]
+
+
+class TestKernelTest:
+    """Bijectivity by the images of prime-order subgroup generators against
+    the full-permutation filter."""
+
+    @pytest.mark.parametrize("factors", KERNEL_TEST_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_same_automorphisms_in_same_order(self, factors):
+        G = AbelianGroup(factors)
+        want = np.concatenate([idx for idx, _ in reference_automorphism_batches(G)])
+        for batch_size in (7, 1024):
+            batches = list(_automorphism_batches(G, batch_size))
+            got = np.concatenate([idx for idx, _ in batches])
+            assert np.array_equal(got, want)
+            for idx, mats in batches:
+                assert np.array_equal(mats, G.residue_matrix[idx])
+
+    @pytest.mark.parametrize(
+        "factors,count", [((9, 9), 4), ((13, 13), 14), ((25, 25), 6), ((2, 2, 2), 7), ((6, 10), 5)]
+    )
+    def test_one_generator_per_prime_order_subgroup(self, factors, count):
+        G = AbelianGroup(factors)
+        reps = _prime_order_representatives(G, _element_orders(G))
+        want = {
+            G.cyclic_subgroup(g)
+            for g in G.elements()
+            if G.element_order(g) > 1
+            and all(G.element_order(g) % d for d in range(2, G.element_order(g)))
+        }
+        got = [G.cyclic_subgroup(tuple(int(x) for x in r)) for r in reps]
+        assert len(got) == len(set(got)) == len(want) == count
+        assert set(got) == want
+
+
+class TestHillarRhea:
+    def test_examples(self):
+        assert hillar_rhea_order((9, 9)) == 3888
+        assert hillar_rhea_order((13, 13)) == 26208
+        assert hillar_rhea_order((25, 25)) == 300000
+        assert hillar_rhea_order((2, 4)) == 8
+
+    def test_count_automorphisms(self):
+        lists = factor_lists(200, 3)
+        assert len(lists) == 1925
+        for factors in lists:
+            assert count_automorphisms(AbelianGroup(factors)) == hillar_rhea_order(factors), factors
+
+    def test_exhaustive_scans(self):
+        rng = random.Random(5)
+        conns = [random_non_selfcomplementary_set(AbelianGroup(f), rng) for f in ((9, 9), (13, 13))]
+        for conn in conns + [davis(5).connection_set]:
+            cert, scanned = selfcomp_by_group_automorphism(conn)
+            assert cert is None
+            assert scanned == hillar_rhea_order(conn.group.factors)
 
 
 class TestSpecParsing:

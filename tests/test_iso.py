@@ -3,15 +3,23 @@ certificate validation and the self-complementarity pipeline."""
 
 import itertools
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cayleycert import groups, iso
-from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
+from cayleycert.cayley import (
+    build_cayley,
+    complement_connection_set,
+    lex_product,
+    validate_connection_set,
+)
 from cayleycert.families import davis, paley, peisert
 from cayleycert.graphs import DenseGraph, SelfCheckError, check_srg, complement
-from cayleycert.groups import AbelianGroup
+from cayleycert.groups import AbelianGroup, GroupAutomorphism
+from test_groups import random_non_selfcomplementary_set, reference_automorphism_batches
 from cayleycert.iso import (
     IsoCertificate,
     _deep_signature,
@@ -293,6 +301,99 @@ class TestGroupAutomorphismCertificates:
         conn = validate_connection_set(Z5, [])
         cert, scanned = selfcomp_by_group_automorphism(conn)
         assert cert is None and scanned == 0
+
+
+def reference_scan(conn):
+    """The scan the probe filter replaced: sort sigma(S) for every automorphism
+    of the full-permutation filter and stop at the first that equals N.
+    Returns (generator image indices, permutation, scanned) or None, scanned."""
+    s_idx = np.array(conn.indices(), dtype=np.int64)
+    n_idx = np.array(complement_connection_set(conn).indices(), dtype=np.int64)
+    scanned = 0
+    for img_idx, perms in reference_automorphism_batches(conn.group):
+        hits = np.nonzero((np.sort(perms[:, s_idx], axis=1) == n_idx).all(axis=1))[0]
+        if hits.size:
+            hit = int(hits[0])
+            return (tuple(img_idx[hit]), tuple(perms[hit]), scanned + hit + 1)
+        scanned += len(img_idx)
+    return None, scanned
+
+
+def moved(conn, rng):
+    """conn carried by a seeded random automorphism of its group."""
+    G = conn.group
+    autos = np.concatenate([idx for idx, _ in reference_automorphism_batches(G)])
+    images = autos[rng.randrange(len(autos))]
+    sigma = GroupAutomorphism(G, tuple(G.element_of(int(i)) for i in images))
+    return validate_connection_set(G, sigma.apply_set(conn.elements))
+
+
+SCAN_INPUTS = {
+    "paley13": lambda: paley(13).connection_set,
+    "paley25": lambda: paley(25).connection_set,
+    "paley49": lambda: paley(49).connection_set,
+    "peisert49": lambda: peisert(49).connection_set,
+    "davis3": lambda: davis(3).connection_set,
+    "P9[P13]": lambda: lex_product(paley(9).connection_set, paley(13).connection_set),
+    "P13[P9]": lambda: lex_product(paley(13).connection_set, paley(9).connection_set),
+}
+
+
+class TestScanAgainstReference:
+    """The probe-filter scan against the full-permutation scan: the same
+    generator images, permutation and automorphisms_scanned."""
+
+    @staticmethod
+    def assert_same(conn):
+        cert, scanned = selfcomp_by_group_automorphism(conn)
+        want = reference_scan(conn)
+        if want[0] is None:
+            assert cert is None and scanned == want[1]
+            return
+        G = conn.group
+        images = tuple(G.element_of(int(i)) for i in want[0])
+        assert cert.automorphism.generator_images == images
+        assert cert.permutation == want[1]
+        assert cert.scanned == scanned == want[2]
+
+    @pytest.mark.parametrize("name", sorted(SCAN_INPUTS))
+    def test_seed_moved_families(self, name):
+        rng = random.Random(name)
+        base = SCAN_INPUTS[name]()
+        for conn in [base] + [moved(base, rng) for _ in range(3)]:
+            self.assert_same(conn)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [(13,), (29,), (5, 5), (7, 7), (3, 15), (9, 9)],
+        ids=lambda f: "x".join(map(str, f)),
+    )
+    def test_random_non_selfcomplementary_sets(self, factors):
+        rng = random.Random(sum(factors))
+        for _ in range(2):
+            self.assert_same(random_non_selfcomplementary_set(AbelianGroup(factors), rng))
+
+    def test_wrong_survivor_raises_under_optimization(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", WRONG_SURVIVOR], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "does not carry S onto its complement" in proc.stdout
+
+
+WRONG_SURVIVOR = """
+import numpy as np
+from cayleycert import families, graphs, iso
+
+conn = families.paley(13).connection_set
+res = conn.group.residue_matrix
+# The image residues of x -> 2x pass every probe; the image tuple names x -> x.
+iso._automorphism_batches = lambda G: iter([(np.array([[1]]), res[np.array([[2]])])])
+try:
+    iso.selfcomp_by_group_automorphism(conn)
+except graphs.SelfCheckError as exc:
+    print(exc)
+"""
 
 
 class TestSelfComplementary:
