@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
+from math import prod
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .cayley import (
@@ -34,7 +35,9 @@ from .families import (
 )
 from .graphs import (
     DenseGraph,
+    check_order_budget,
     check_srg,
+    complement,
     diameter,
     from_edge_list,
     from_graph6,
@@ -47,7 +50,13 @@ from .groupalgebra import (
     verify_schur_partition,
     verify_srg_equation,
 )
-from .iso import fingerprint, is_self_complementary, selfcomp_by_group_automorphism
+from .iso import (
+    Fingerprint,
+    fingerprint,
+    is_self_complementary,
+    selfcomp_by_group_automorphism,
+    verify_certificate,
+)
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -56,6 +65,10 @@ EXIT_USAGE = 2
 
 def _eprint(*args) -> None:
     print(*args, file=sys.stderr)
+
+
+def _header(command: str) -> dict:
+    return {"tool": "cayleycert", "version": __version__, "command": command}
 
 
 def _emit(report: dict, timings: Optional[dict], want_timings: bool) -> None:
@@ -68,47 +81,41 @@ def _emit(report: dict, timings: Optional[dict], want_timings: bool) -> None:
 # --- construct -------------------------------------------------------------------
 
 
-def _build_family(spec: str) -> ConstructionReport:
+#: Family -> (its parameter option, the order of the group built from the
+#: parameter, a constructor from the parameter and --generator).  The
+#: constructors read paley/peisert/davis from the module when they run, so a
+#: function rebound on this module is the one called.
+_FAMILIES = {
+    "paley": ("q", lambda q: q, lambda q, gen: paley(q)),
+    "peisert": ("q", lambda q: q, lambda q, gen: peisert(q, _generator(gen))),
+    "davis": ("p", lambda p: p**4, lambda p, gen: davis(p)),
+}
+
+
+def _generator(text: Optional[str]) -> Optional[tuple[int, ...]]:
+    return tuple(int(c) for c in text.split(",")) if text else None
+
+
+def _parse_operand(spec: str) -> tuple[tuple, int]:
     """Parse "family:param" (e.g. paley:13, davis:3) for lexprod operands."""
+    family, _, param = spec.partition(":")
     try:
-        family, _, param = spec.partition(":")
         value = int(param)
     except ValueError:
         raise ValueError(f"operand {spec!r} is not family:integer")
-    if family == "paley":
-        return paley(value)
-    if family == "peisert":
-        return peisert(value)
-    if family == "davis":
-        return davis(value)
-    raise ValueError(f"unknown family {family!r} in operand {spec!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r} in operand {spec!r}")
+    return _FAMILIES[family], value
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
-        if args.family == "paley":
-            if args.q is None:
-                raise ValueError("paley needs --q")
-            report = paley(args.q)
-            stem = f"paley{args.q}"
-        elif args.family == "peisert":
-            if args.q is None:
-                raise ValueError("peisert needs --q")
-            generator = None
-            if args.generator:
-                generator = tuple(int(c) for c in args.generator.split(","))
-            report = peisert(args.q, generator)
-            stem = f"peisert{args.q}"
-        elif args.family == "davis":
-            if args.p is None:
-                raise ValueError("davis needs --p")
-            report = davis(args.p)
-            stem = f"davis{args.p}"
-        else:  # lexprod
+        if args.family == "lexprod":
             if not args.left or not args.right:
                 raise ValueError("lexprod needs --left and --right family:param")
-            left = _build_family(args.left)
-            right = _build_family(args.right)
+            operands = [_parse_operand(args.left), _parse_operand(args.right)]
+            check_order_budget("group", prod(order(v) for (_, order, _), v in operands))
+            left, right = (build(v, None) for (_, _, build), v in operands)
             conn = lex_product(left.connection_set, right.connection_set)
             report = ConstructionReport(
                 family="lexprod",
@@ -118,6 +125,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
                 notes={"left": left.to_json_dict(), "right": right.to_json_dict()},
             )
             stem = f"lexprod_{args.left}_{args.right}".replace(":", "")
+        else:
+            flag, _, build = _FAMILIES[args.family]
+            value = getattr(args, flag)
+            if value is None:
+                raise ValueError(f"{args.family} needs --{flag}")
+            report = build(value, args.generator)
+            stem = f"{args.family}{value}"
     except (ValueError, ArithmeticError) as exc:
         _eprint(f"error: {exc}")
         return EXIT_USAGE
@@ -131,9 +145,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     set_path.write_text(connection_set_to_text(report.connection_set))
     g6_path.write_text(to_graph6(graph) + "\n")
     doc = {
-        "tool": "cayleycert",
-        "version": __version__,
-        "command": "construct",
+        **_header("construct"),
         "construction": report.to_json_dict(),
         "files": {
             "connection_set": str(set_path),
@@ -188,7 +200,7 @@ def _inline_connection_set(group_spec: str, set_text: str) -> tuple[DenseGraph, 
     return build_cayley(conn), conn
 
 
-def _check_srg(graph: DenseGraph) -> dict:
+def _check_srg(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     res = check_srg(graph)
     out: dict = {"passed": res.is_srg}
     if res.is_srg:
@@ -205,7 +217,7 @@ def _check_srg(graph: DenseGraph) -> dict:
     return out
 
 
-def _check_dr(graph: DenseGraph) -> dict:
+def _check_dr(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     res = intersection_array(graph)
     out: dict = {"passed": res.is_distance_regular}
     if res.is_distance_regular:
@@ -220,7 +232,7 @@ def _check_dr(graph: DenseGraph) -> dict:
     return out
 
 
-def _check_pds(graph: DenseGraph, conn: ConnectionSet) -> dict:
+def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
     srg = check_srg(graph)
     if not srg.is_srg:
         return {"passed": False, "reason": f"not strongly regular: {srg.reason}"}
@@ -240,7 +252,7 @@ def _check_pds(graph: DenseGraph, conn: ConnectionSet) -> dict:
     return out
 
 
-def _check_schur(graph: DenseGraph, conn: ConnectionSet) -> dict:
+def _check_schur(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
     schur = verify_schur_partition(conn.group, conn)
     out = {"passed": bool(schur), "schur_closure": bool(schur)}
     if schur.witness:
@@ -262,16 +274,15 @@ def _check_selfcomp(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> d
         node_budget=args.node_budget,
         time_budget=args.time_budget,
     )
-    out = {
+    return {
         "passed": decision.isomorphic is True,
         "self_complementary": decision.isomorphic,
         "decided_by": decision.decided_by,
         "certificate": decision.certificate.to_json_dict(),
     }
-    return out
 
 
-def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet]) -> dict:
+def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     fp = fingerprint(graph)
     degree_counts: dict[str, int] = {}
     for d in fp.degrees:
@@ -292,6 +303,31 @@ def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet]) -> dict:
     return out
 
 
+class Check(NamedTuple):
+    """One verify check: its flag, its runner and whether it needs the group
+    of a connection set, which a bare graph input does not carry."""
+
+    name: str
+    run: Callable[[DenseGraph, Optional[ConnectionSet], argparse.Namespace], dict]
+    needs_group: bool
+    help: str
+
+
+#: The verify checks, in report order.
+CHECKS = (
+    Check("srg", _check_srg, False, "strong regularity"),
+    Check("dr", _check_dr, False, "distance regularity"),
+    Check("pds", _check_pds, True, "partial difference set (set input)"),
+    Check("schur", _check_schur, True, "Schur-ring closure (set input)"),
+    Check("selfcomp", _check_selfcomp, False, "self-complementarity"),
+    Check("invariants", _check_invariants, False, "fingerprint record"),
+)
+
+
+def _flags(checks) -> str:
+    return "/".join(f"--{c.name}" for c in checks)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
     try:
@@ -309,53 +345,29 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _eprint(f"error: cannot read input: {exc}")
         return EXIT_USAGE
 
-    requested = [
-        name
-        for name, on in (
-            ("srg", args.srg),
-            ("dr", args.dr),
-            ("pds", args.pds),
-            ("schur", args.schur),
-            ("selfcomp", args.selfcomp),
-            ("invariants", args.invariants),
-        )
-        if on
-    ]
+    requested = [c for c in CHECKS if getattr(args, c.name)]
     if not requested:
-        _eprint("error: no checks requested (use --srg/--dr/--pds/--schur/--selfcomp/--invariants)")
+        _eprint(f"error: no checks requested (use {_flags(CHECKS)})")
         return EXIT_USAGE
-    if conn is None and ("pds" in requested or "schur" in requested):
+    if conn is None and any(c.needs_group for c in requested):
         _eprint(
-            "error: --pds/--schur need the group structure; "
+            f"error: {_flags(c for c in CHECKS if c.needs_group)} need the group structure; "
             "supply a connection-set (.set) input instead of a bare graph"
         )
         return EXIT_USAGE
 
     checks: dict[str, dict] = {}
-    for name in requested:
+    for check in requested:
         t0 = time.monotonic()
-        if name == "srg":
-            checks[name] = _check_srg(graph)
-        elif name == "dr":
-            checks[name] = _check_dr(graph)
-        elif name == "pds":
-            checks[name] = _check_pds(graph, conn)
-        elif name == "schur":
-            checks[name] = _check_schur(graph, conn)
-        elif name == "selfcomp":
-            checks[name] = _check_selfcomp(graph, conn, args)
-        elif name == "invariants":
-            checks[name] = _check_invariants(graph, conn)
-        timings[name] = time.monotonic() - t0
+        checks[check.name] = check.run(graph, conn, args)
+        timings[check.name] = time.monotonic() - t0
 
     all_passed = all(c["passed"] for c in checks.values())
     report = {
-        "tool": "cayleycert",
-        "version": __version__,
-        "command": "verify",
+        **_header("verify"),
         "parameters": {
             "input": args.input if args.input else {"group": args.group, "set": args.set},
-            "checks": requested,
+            "checks": list(checks),
         },
         "vertices": graph.n,
         "edges": graph.edge_count(),
@@ -363,8 +375,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "all_passed": all_passed,
     }
     _emit(report, timings, args.timings)
-    for name in requested:
-        status = "pass" if checks[name]["passed"] else "FAIL"
+    for name, result in checks.items():
+        status = "pass" if result["passed"] else "FAIL"
         _eprint(f"{name:<12} {status}   ({timings[name]:.2f}s)")
     return EXIT_OK if all_passed else EXIT_REFUTED
 
@@ -372,217 +384,207 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- reproduce-paper ---------------------------------------------------------------
 
 
-def _claim_rows(extended: bool) -> list[dict]:
-    rows = [
-        {
-            "id": "paley-family",
-            "claim": "P_q for q in {5,9,13,25}: conference SRG, diameter 2, self-complementary with certificate",
-        },
-        {
-            "id": "peisert-family",
-            "claim": "P*_q for q in {9,49}: SRG (9,4,1,2)/(49,24,11,12), self-complementary with certificate",
-        },
-        {
-            "id": "davis3-pds",
-            "claim": "davis(3): |S|=40 over Z9xZ9, PDS(19,20), SRG equation, mixed product t=20, Schur closure, SRG(81,40,19,20)",
-        },
-        {
-            "id": "davis3-selfcomp",
-            "claim": "davis(3) graph is self-complementary (the positive computer-checked case)",
-        },
-        {
-            "id": "davis5-pds",
-            "claim": "davis(5): |S|=312, PDS(155,156) over Z25xZ25",
-        },
-        {
-            "id": "davis5-scan",
-            "claim": "davis(5): no self-complementarity certificate among all 300000 group automorphisms (inconclusive by design)",
-        },
-        {
-            "id": "lexprod",
-            "claim": "P5[P5] is self-complementary (full decider) but not strongly regular",
-        },
-        {
-            "id": "order-feasibility",
-            "claim": "orders 81 and 9*5^4 feasible, 45 infeasible",
-        },
-    ]
-    if extended:
-        rows.append(
-            {
-                "id": "davis5-decision",
-                "claim": "davis(5) graph is NOT self-complementary (full decision, any sound path)",
-            }
-        )
-    return rows
+def _certified_selfcomp(g: DenseGraph, hint: Optional[ConnectionSet] = None):
+    """The self-complementarity decision, and whether it is positive with a
+    permutation that verify_certificate re-checks edge for edge."""
+    d = is_self_complementary(g, hint=hint)
+    certified = d.isomorphic is True and verify_certificate(
+        g, complement(g), d.certificate.permutation
+    )
+    return d, certified
 
 
-def _run_claim(row_id: str) -> dict:
-    if row_id == "paley-family":
-        details = {}
-        ok = True
-        for q in (5, 9, 13, 25):
-            rep = paley(q)
-            g = build_cayley(rep.connection_set)
-            srg = check_srg(g)
-            t = (q - 1) // 4
-            want = (4 * t + 1, 2 * t, t - 1, t)
-            d = is_self_complementary(g, hint=rep.connection_set)
-            good = (
-                srg.is_srg
-                and srg.params.as_tuple() == want
-                and diameter(g) == 2
-                and d.isomorphic is True
-            )
-            ok = ok and good
-            details[f"q{q}"] = {
-                "srg": list(srg.params.as_tuple()) if srg.is_srg else None,
-                "diameter": diameter(g),
-                "selfcomp": d.isomorphic,
-                "certificate": d.certificate.kind,
-            }
-        return {"passed": ok, "details": details}
-    if row_id == "peisert-family":
-        details = {}
-        ok = True
-        for q, want in ((9, (9, 4, 1, 2)), (49, (49, 24, 11, 12))):
-            rep = peisert(q)
-            g = build_cayley(rep.connection_set)
-            srg = check_srg(g)
-            d = is_self_complementary(g, hint=rep.connection_set)
-            good = srg.is_srg and srg.params.as_tuple() == want and d.isomorphic is True
-            ok = ok and good
-            details[f"q{q}"] = {
-                "srg": list(srg.params.as_tuple()) if srg.is_srg else None,
-                "selfcomp": d.isomorphic,
-            }
-        return {"passed": ok, "details": details}
-    if row_id == "davis3-pds":
-        rep = davis(3)
-        conn = rep.connection_set
-        g = build_cayley(conn)
-        srg = check_srg(g)
-        pds = verify_pds(rep.group, conn.elements, 19, 20)
-        eq = verify_srg_equation(rep.group, conn, (81, 40, 19, 20))
-        mixed = verify_mixed_product(rep.group, conn, 20)
-        schur = verify_schur_partition(rep.group, conn)
-        ok = (
-            conn.size == 40
-            and bool(pds)
-            and bool(eq)
-            and bool(mixed)
-            and bool(schur)
-            and srg.is_srg
-            and srg.params.as_tuple() == (81, 40, 19, 20)
-        )
-        return {
-            "passed": ok,
-            "details": {
-                "set_size": conn.size,
-                "pds_19_20": bool(pds),
-                "srg_equation": bool(eq),
-                "mixed_product_t20": bool(mixed),
-                "schur": bool(schur),
-                "srg": list(srg.params.as_tuple()) if srg.is_srg else None,
-            },
-        }
-    if row_id == "davis3-selfcomp":
-        rep = davis(3)
+def _srg_list(srg) -> Optional[list[int]]:
+    return list(srg.params.as_tuple()) if srg.is_srg else None
+
+
+def _claim_paley_family() -> dict:
+    details = {}
+    ok = True
+    for q in (5, 9, 13, 25):
+        rep = paley(q)
         g = build_cayley(rep.connection_set)
-        d = is_self_complementary(g, hint=rep.connection_set)
-        return {
-            "passed": d.isomorphic is True,
-            "details": {"decided_by": d.decided_by, "certificate": d.certificate.kind},
-        }
-    if row_id == "davis5-pds":
-        rep = davis(5)
-        pds = verify_pds(rep.group, rep.connection_set.elements, 155, 156)
-        return {
-            "passed": rep.connection_set.size == 312 and bool(pds),
-            "details": {"set_size": rep.connection_set.size, "pds_155_156": bool(pds)},
-        }
-    if row_id == "davis5-scan":
-        rep = davis(5)
-        cert, scanned = selfcomp_by_group_automorphism(rep.connection_set)
-        return {
-            "passed": cert is None and scanned == 300000,
-            "details": {"certificate_found": cert is not None, "scanned": scanned},
-        }
-    if row_id == "lexprod":
-        conn = lex_product(paley(5).connection_set, paley(5).connection_set)
-        g = build_cayley(conn)
-        d = is_self_complementary(g)  # full decider, no hint
         srg = check_srg(g)
-        return {
-            "passed": d.isomorphic is True and not srg.is_srg,
-            "details": {
-                "selfcomp": d.isomorphic,
-                "decided_by": d.decided_by,
-                "srg_refuted": not srg.is_srg,
-                "srg_reason": srg.reason,
-            },
+        t = (q - 1) // 4
+        diam = diameter(g)
+        d, certified = _certified_selfcomp(g, rep.connection_set)
+        want = (4 * t + 1, 2 * t, t - 1, t)
+        ok = ok and srg.is_srg and srg.params.as_tuple() == want and q == 4 * t + 1
+        ok = ok and diam == 2 and certified
+        details[f"q{q}"] = {
+            "srg": _srg_list(srg),
+            "diameter": diam,
+            "selfcomp": d.isomorphic,
+            "certificate": d.certificate.kind,
         }
-    if row_id == "order-feasibility":
-        f81, r81 = paley_type_order_feasible(81)
-        f45, r45 = paley_type_order_feasible(45)
-        f5625, r5625 = paley_type_order_feasible(5625)
-        return {
-            "passed": f81 and not f45 and f5625,
-            "details": {"81": r81, "45": r45, "5625": r5625},
-        }
-    if row_id == "davis5-decision":
-        rep = davis(5)
+    return {"passed": ok, "details": details}
+
+
+def _claim_peisert_family() -> dict:
+    details = {}
+    ok = True
+    for q, want in ((9, (9, 4, 1, 2)), (49, (49, 24, 11, 12))):
+        rep = peisert(q)
         g = build_cayley(rep.connection_set)
-        d = is_self_complementary(g, hint=rep.connection_set, scan_automorphisms=False)
-        return {
-            "passed": d.isomorphic is False,
-            "details": {
-                "selfcomp": d.isomorphic,
-                "decided_by": d.decided_by,
-                "invariant": d.certificate.invariant,
-            },
-        }
-    raise AssertionError(row_id)
+        srg = check_srg(g)
+        d, certified = _certified_selfcomp(g, rep.connection_set)
+        ok = ok and srg.is_srg and srg.params.as_tuple() == want and certified
+        details[f"q{q}"] = {"srg": _srg_list(srg), "selfcomp": d.isomorphic}
+    return {"passed": ok, "details": details}
+
+
+def _claim_davis3_pds() -> dict:
+    rep = davis(3)
+    conn = rep.connection_set
+    srg = check_srg(build_cayley(conn))
+    details = {
+        "set_size": conn.size,
+        "pds_19_20": bool(verify_pds(rep.group, conn.elements, 19, 20)),
+        "srg_equation": bool(verify_srg_equation(rep.group, conn, (81, 40, 19, 20))),
+        "mixed_product_t20": bool(verify_mixed_product(rep.group, conn, 20)),
+        "schur": bool(verify_schur_partition(rep.group, conn)),
+        "srg": _srg_list(srg),
+    }
+    checks = ("pds_19_20", "srg_equation", "mixed_product_t20", "schur")
+    ok = rep.group.factors == (9, 9) and conn.size == 40 and all(details[k] for k in checks)
+    return {"passed": ok and details["srg"] == [81, 40, 19, 20], "details": details}
+
+
+def _claim_davis3_selfcomp() -> dict:
+    rep = davis(3)
+    d, certified = _certified_selfcomp(build_cayley(rep.connection_set), rep.connection_set)
+    return {
+        "passed": certified,
+        "details": {"decided_by": d.decided_by, "certificate": d.certificate.kind},
+    }
+
+
+def _claim_davis5_pds() -> dict:
+    rep = davis(5)
+    pds = verify_pds(rep.group, rep.connection_set.elements, 155, 156)
+    return {
+        "passed": rep.connection_set.size == 312 and bool(pds),
+        "details": {"set_size": rep.connection_set.size, "pds_155_156": bool(pds)},
+    }
+
+
+def _claim_davis5_scan() -> dict:
+    # no certificate is inconclusive by design, never a negative proof
+    cert, scanned = selfcomp_by_group_automorphism(davis(5).connection_set)
+    return {
+        "passed": cert is None and scanned == 300000,
+        "details": {"certificate_found": cert is not None, "scanned": scanned},
+    }
+
+
+def _claim_lexprod() -> dict:
+    conn = lex_product(paley(5).connection_set, paley(5).connection_set)
+    g = build_cayley(conn)
+    d, certified = _certified_selfcomp(g)  # full decider, no hint
+    srg = check_srg(g)
+    ok = conn.group.factors == (5, 5) and conn.size == 12 and certified
+    ok = ok and d.certificate.kind == "vertex-bijection"
+    return {
+        "passed": ok and not srg.is_srg and srg.witness is not None,
+        "details": {
+            "selfcomp": d.isomorphic,
+            "decided_by": d.decided_by,
+            "srg_refuted": not srg.is_srg,
+            "srg_reason": srg.reason,
+        },
+    }
+
+
+def _claim_order_feasibility() -> dict:
+    (f81, r81), (f45, r45), (f5625, r5625) = map(paley_type_order_feasible, (81, 45, 5625))
+    return {
+        "passed": f81 and not f45 and f5625,
+        "details": {"81": r81, "45": r45, "5625": r5625},
+    }
+
+
+def _claim_davis5_decision() -> dict:
+    rep = davis(5)
+    g = build_cayley(rep.connection_set)
+    d = is_self_complementary(g, hint=rep.connection_set, scan_automorphisms=False)
+    cert = d.certificate
+    # only the edge-neighborhood profile separates the graph from its complement
+    ok = d.isomorphic is False and d.decided_by == "edge profile screen"
+    ok = ok and cert.kind == "invariant-refutation"
+    return {
+        "passed": ok and cert.invariant == "edge-neighborhood-edge-profile",
+        "details": {"selfcomp": d.isomorphic, "decided_by": d.decided_by, "invariant": cert.invariant},
+    }
+
+
+def _claim_davis5_fingerprint_agree() -> dict:
+    g = build_cayley(davis(5).connection_set)
+    fp, fp_complement = fingerprint(g), fingerprint(complement(g))
+    differing = [f for f in Fingerprint.FIELDS if getattr(fp, f) != getattr(fp_complement, f)]
+    return {
+        "passed": not differing,
+        "details": {"fields": list(Fingerprint.FIELDS), "differing": differing},
+    }
+
+
+class Claim(NamedTuple):
+    """One claim: reproduce-paper runs it, and the acceptance tests require
+    it to pass within bound_s seconds."""
+
+    id: str
+    claim: str
+    tier: str  # "standard", or "extended" for reproduce-paper --extended only
+    run: Callable[[], dict]  # -> {"passed": bool, "details": dict}
+    bound_s: float
+
+
+#: Every claim, in report order: the standard tier, then the extended one.
+CLAIMS = (
+    Claim("paley-family", "P_q for q in {5,9,13,25}: conference SRG, diameter 2, self-complementary with certificate",
+          "standard", _claim_paley_family, 10.0),
+    Claim("peisert-family", "P*_q for q in {9,49}: SRG (9,4,1,2)/(49,24,11,12), self-complementary with certificate",
+          "standard", _claim_peisert_family, 30.0),
+    Claim("davis3-pds", "davis(3): |S|=40 over Z9xZ9, PDS(19,20), SRG equation, mixed product t=20, Schur closure, SRG(81,40,19,20)",
+          "standard", _claim_davis3_pds, 30.0),
+    Claim("davis3-selfcomp", "davis(3) graph is self-complementary (the positive computer-checked case)",
+          "standard", _claim_davis3_selfcomp, 30.0),
+    Claim("davis5-pds", "davis(5): |S|=312, PDS(155,156) over Z25xZ25",
+          "standard", _claim_davis5_pds, 150.0),
+    Claim("davis5-scan", "davis(5): no self-complementarity certificate among all 300000 group automorphisms (inconclusive by design)",
+          "standard", _claim_davis5_scan, 150.0),
+    Claim("lexprod", "P5[P5] is self-complementary (full decider) but not strongly regular",
+          "standard", _claim_lexprod, 10.0),
+    Claim("order-feasibility", "orders 81 and 9*5^4 feasible, 45 infeasible",
+          "standard", _claim_order_feasibility, 5.0),
+    Claim("davis5-decision", "davis(5) graph is NOT self-complementary (full decision, any sound path)",
+          "extended", _claim_davis5_decision, 1800.0),
+    Claim("davis5-fingerprint-agree", "davis(5) graph and its complement agree on every fingerprint field: degrees, SRG parameters, triangles, 4-cliques, mod-p ranks, distance distribution",
+          "extended", _claim_davis5_fingerprint_agree, 1800.0),
+)
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    rows = _claim_rows(args.extended)
+    rows = [c for c in CLAIMS if args.extended or c.tier == "standard"]
+    report = {**_header("reproduce-paper"), "tier": "extended" if args.extended else "standard"}
     if args.list:
-        report = {
-            "tool": "cayleycert",
-            "version": __version__,
-            "command": "reproduce-paper",
-            "tier": "extended" if args.extended else "standard",
-            "claims": [{"id": r["id"], "claim": r["claim"]} for r in rows],
-        }
+        report["claims"] = [{"id": r.id, "claim": r.claim} for r in rows]
         _emit(report, None, False)
         for r in rows:
-            _eprint(f"{r['id']:<18} {r['claim']}")
+            _eprint(f"{r.id:<18} {r.claim}")
         return EXIT_OK
 
     results = []
     timings: dict[str, float] = {}
-    all_ok = True
     for r in rows:
         t0 = time.monotonic()
-        outcome = _run_claim(r["id"])
-        timings[r["id"]] = time.monotonic() - t0
-        all_ok = all_ok and outcome["passed"]
-        results.append({"id": r["id"], "claim": r["claim"], **outcome})
-        _eprint(
-            f"{r['id']:<18} {'pass' if outcome['passed'] else 'FAIL'}"
-            f"   ({timings[r['id']]:.1f}s)"
-        )
-    report = {
-        "tool": "cayleycert",
-        "version": __version__,
-        "command": "reproduce-paper",
-        "tier": "extended" if args.extended else "standard",
-        "claims": results,
-        "all_passed": all_ok,
-    }
+        outcome = r.run()
+        timings[r.id] = time.monotonic() - t0
+        results.append({"id": r.id, "claim": r.claim, **outcome})
+        _eprint(f"{r.id:<18} {'pass' if outcome['passed'] else 'FAIL'}   ({timings[r.id]:.1f}s)")
+    report["claims"] = results
+    report["all_passed"] = all(r["passed"] for r in results)
     _emit(report, timings, args.timings)
-    return EXIT_OK if all_ok else EXIT_REFUTED
+    return EXIT_OK if report["all_passed"] else EXIT_REFUTED
 
 
 # --- entry point --------------------------------------------------------------------
@@ -614,12 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=["set", "graph6", "edgelist"])
     v.add_argument("--group", help="inline group spec, e.g. Z13 (with --set)")
     v.add_argument("--set", help="inline connection set, e.g. '1;3;4;9;10;12'")
-    v.add_argument("--srg", action="store_true", help="strong regularity")
-    v.add_argument("--dr", action="store_true", help="distance regularity")
-    v.add_argument("--pds", action="store_true", help="partial difference set (set input)")
-    v.add_argument("--schur", action="store_true", help="Schur-ring closure (set input)")
-    v.add_argument("--selfcomp", action="store_true", help="self-complementarity")
-    v.add_argument("--invariants", action="store_true", help="fingerprint record")
+    for check in CHECKS:
+        v.add_argument(f"--{check.name}", action="store_true", help=check.help)
     v.add_argument("--node-budget", type=int, default=10**8)
     v.add_argument("--time-budget", type=float, default=None)
     v.add_argument("--timings", action="store_true", help="include timings in the JSON")

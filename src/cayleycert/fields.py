@@ -14,27 +14,16 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional, Sequence
 
+from .graphs import check_order_budget
 from .groups import AbelianGroup
 
 FieldElement = tuple[int, ...]
 
-#: Fields are desk-scale; constructions cap graph sizes separately.
-FIELD_MAX_ORDER = 10**4
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk-scale n)."""
+    """Prime factorization by trial division.  Callers factor q - 1 for a
+    field within the desk-scale budget and SRG eigenvalue gaps at most the
+    vertex count, so n is small and trial division is exact and cheap."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -118,6 +107,12 @@ def prime_power_decomposition(q: int) -> Optional[tuple[int, int]]:
             f"cannot decide whether {q} is a prime power: {root} is beyond the exact primality range"
         )
     return root, r
+
+
+def is_prime(n: int) -> bool:
+    """Exact below MILLER_RABIN_LIMIT; a larger n that passes Miller-Rabin
+    raises ValueError (see prime_power_decomposition)."""
+    return prime_power_decomposition(n) == (n, 1)
 
 
 # --- polynomial arithmetic over Z_p (constant term first) --------------------
@@ -375,10 +370,9 @@ class FiniteField:
 
 def make_field(p: int, r: int) -> FiniteField:
     """Deterministic GF(p^r) with the lex-smallest irreducible modulus."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError(f"extension degree must be >= 1, got {r}")
-    if p**r > FIELD_MAX_ORDER:
-        raise ValueError(f"field order {p**r} exceeds the desk-scale budget {FIELD_MAX_ORDER}")
+    check_order_budget("field", p**r)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return FiniteField(p, r, _smallest_irreducible(p, r))

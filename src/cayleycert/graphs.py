@@ -18,8 +18,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-#: Dense representation budget.
-MAX_VERTICES = 4096
+#: The desk-scale budget: the largest graph, group or field order built.
+MAX_ORDER = 4096
+
+
+def check_order_budget(kind: str, order: int) -> None:
+    """Raise ValueError when a {kind} of this order would exceed MAX_ORDER."""
+    if order > MAX_ORDER:
+        raise ValueError(f"{kind} order {order} exceeds the desk-scale budget {MAX_ORDER}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +42,7 @@ class DenseGraph:
             n = len(rows)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise ValueError(f"vertex count {n} exceeds the dense budget {MAX_VERTICES}")
+        check_order_budget("graph", n)
         if len(rows) != n:
             raise ValueError(f"{len(rows)} rows for {n} vertices")
         limit = 1 << n
@@ -433,7 +438,7 @@ def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int],
     row sum is |N(u) & N(v)|, and diag(B^3) at v, the row sum of
     (B @ B) * B at v, sees every edge of G[N(u) & N(v)] twice.  The product
     is exact: every entry and every partial sum of B @ B is an integer at
-    most k < MAX_VERTICES < 2^24, which float32 represents exactly in any
+    most k < MAX_ORDER < 2^24, which float32 represents exactly in any
     summation order.  The elementwise product is cast to int64 before its row
     sum, so that sum needs no bound.
     """
@@ -599,8 +604,8 @@ def from_graph6(text: str) -> DenseGraph:
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValueError(f"graph6 vertex count {n} outside budget 1..{MAX_VERTICES}")
+    if not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"graph6 vertex count {n} outside budget 1..{MAX_ORDER}")
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .graphs import check_order_budget
+
 GroupElement = tuple[int, ...]
 
 #: Enumeration limits for enumerate_automorphisms.
@@ -22,9 +24,6 @@ AUT_MAX_CANDIDATES = 10**8
 #: Candidates tested per automorphism batch; a scan that stops early has
 #: paid for its own batch only.
 AUT_BATCH_SIZE = 1024
-
-#: Largest group order for which the dense index addition table is built.
-ADD_TABLE_MAX_ORDER = 4096
 
 
 class AutEnumerationError(RuntimeError):
@@ -155,11 +154,7 @@ class AbelianGroup:
         """Dense index addition table T[i, j] = index_of(g_i + g_j)."""
         tab = self._cache.get("add_table")
         if tab is None:
-            if self.order > ADD_TABLE_MAX_ORDER:
-                raise ValueError(
-                    f"group order {self.order} exceeds the dense-table budget "
-                    f"{ADD_TABLE_MAX_ORDER}"
-                )
+            check_order_budget("group", self.order)
             res = self.residue_matrix
             factors = np.array(self.factors, dtype=np.int64)
             summed = (res[:, None, :] + res[None, :, :]) % factors

@@ -3,12 +3,19 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cayleycert.cli import main
+from cayleycert import cli
+from cayleycert.cli import CLAIMS, main
 from cayleycert.cayley import connection_set_from_text
 from cayleycert.graphs import DenseGraph, from_graph6, to_graph6
+
+
+#: Outputs recorded before the claim and check tables replaced the CLI's
+#: if-chains; the tables must reproduce them byte for byte.
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +79,20 @@ class TestConstruct:
         )
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["paley", "--q", "4129"],  # a prime = 1 mod 4, past the group budget
+            ["peisert", "--q", "6561"],
+            ["lexprod", "--left", "paley:81", "--right", "paley:81"],  # order 6561
+        ],
+    )
+    def test_order_past_desk_budget_exits_2(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(capsys, "construct", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert "budget" in err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_param_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "construct", "davis", "--out", str(tmp_path))
@@ -146,6 +167,16 @@ class TestVerify:
         assert run_cli(capsys, "verify", paley13_set, "--srg", "--threads", "2")[0] == 2
         assert run_cli(capsys, "reproduce-paper", "--list", "--threads", "2")[0] == 2
 
+    def test_davis3_all_checks_golden(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA)
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "davis3.set",
+            "--srg", "--dr", "--pds", "--schur", "--selfcomp", "--invariants",
+        )
+        assert code == 0
+        assert out == (DATA / "verify_davis3_all_checks.json").read_text()
+
     def test_edge_list_input(self, capsys, tmp_path):
         p = tmp_path / "p4.txt"
         p.write_text("0 1\n1 2\n2 3\n")
@@ -177,6 +208,10 @@ class TestVerify:
         assert json.loads(out)["checks"]["srg"]["params"] == [9, 4, 1, 2]
 
 
+STANDARD_IDS = [c.id for c in CLAIMS if c.tier == "standard"]
+EXTENDED_IDS = [c.id for c in CLAIMS if c.tier == "extended"]
+
+
 class TestReproduce:
     def test_list(self, capsys):
         code, out, _ = run_cli(capsys, "reproduce-paper", "--list")
@@ -185,11 +220,29 @@ class TestReproduce:
         ids = [c["id"] for c in doc["claims"]]
         assert "davis3-selfcomp" in ids and "davis5-scan" in ids
         assert "davis5-decision" not in ids
+        assert ids == STANDARD_IDS
 
     def test_list_extended(self, capsys):
         _, out, _ = run_cli(capsys, "reproduce-paper", "--list", "--extended")
         ids = [c["id"] for c in json.loads(out)["claims"]]
         assert "davis5-decision" in ids
+        assert ids == STANDARD_IDS + EXTENDED_IDS
+
+    def test_standard_tier_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "reproduce-paper")
+        assert code == 0
+        assert out == (DATA / "reproduce_paper_standard.json").read_text()
+
+    def test_failed_claim_exits_1(self, capsys, monkeypatch):
+        failing = lambda: {"passed": False, "details": {}}  # noqa: E731
+        rows = tuple(c._replace(run=failing) if c.id == "lexprod" else c for c in CLAIMS)
+        monkeypatch.setattr(cli, "CLAIMS", rows)
+        code, out, err = run_cli(capsys, "reproduce-paper")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        assert [c["id"] for c in doc["claims"] if not c["passed"]] == ["lexprod"]
+        assert "lexprod            FAIL" in err
 
     def test_usage_error_exits_2(self, capsys):
         assert run_cli(capsys, "bogus-command")[0] == 2

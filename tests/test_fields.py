@@ -25,6 +25,11 @@ class TestPrimes:
         for n in range(limit + 1):
             assert is_prime(n) == sieve[n], n
 
+    def test_is_prime_beyond_trial_division(self):
+        # Miller-Rabin decides both at once; trial division to the root would not
+        assert is_prime(2**61 - 1) is True
+        assert is_prime(3825123056546413051) is False  # strong pseudoprime to 9 bases
+
     def test_factorize(self):
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert factorize(13) == {13: 1}
