@@ -137,13 +137,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     graph = build_cayley(report.connection_set)
     set_path = out / f"{stem}.set"
     g6_path = out / f"{stem}.g6"
     json_path = out / f"{stem}.json"
-    set_path.write_text(connection_set_to_text(report.connection_set))
-    g6_path.write_text(to_graph6(graph) + "\n")
     doc = {
         **_header("construct"),
         "construction": report.to_json_dict(),
@@ -155,7 +152,14 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "vertices": graph.n,
         "degree": report.connection_set.size,
     }
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        set_path.write_text(connection_set_to_text(report.connection_set))
+        g6_path.write_text(to_graph6(graph) + "\n")
+        json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        _eprint(f"error: {exc}")
+        return EXIT_USAGE
     _emit(doc, None, False)
     _eprint(f"wrote {set_path}, {g6_path}, {json_path}")
     return EXIT_OK
@@ -178,7 +182,7 @@ def _load_input(path: str, fmt: Optional[str]) -> tuple[DenseGraph, Optional[Con
         conn = connection_set_from_text(text)
         return build_cayley(conn), conn
     if fmt == "graph6":
-        return from_graph6(text.splitlines()[0]), None
+        return from_graph6(next(iter(text.splitlines()), "")), None
     if fmt == "edgelist":
         return from_edge_list(text), None
     raise ValueError(f"unknown input format {fmt!r}")

@@ -417,8 +417,6 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
                         return DistanceRegularResult(
                             None, f"b_{i} not constant", (s, x, bs[i], b)
                         )
-                elif b:
-                    raise AssertionError("vertex beyond eccentricity")
                 if i >= 1:
                     if cs[i - 1] is None:
                         cs[i - 1] = c

@@ -1,9 +1,11 @@
-"""Integral group-algebra arithmetic and exact partial-difference-set /
-Schur-ring identity checks.
+"""Subset products in Z[G] and exact partial-difference-set / Schur-ring
+identity checks.
 
-Elements are int64 coefficient vectors indexed by the group enumeration;
-multiplication is the naive convolution over support pairs, accumulated with
-exact integer adds (no transforms, no floating point).
+Every identity checked here is a product of subsets of G.  A subset is an
+index array into the group enumeration, and the product X*Y is the int64
+coefficient vector counting, for each w, the pairs (x, y) in X x Y with
+x + y = w: one add-table lookup and one exact integer count, with no
+transforms and no floating point.
 """
 
 from __future__ import annotations
@@ -16,106 +18,14 @@ import numpy as np
 from .cayley import ConnectionSet, complement_connection_set
 from .groups import AbelianGroup, GroupElement
 
-#: Convolutions are guarded so that int64 accumulation cannot overflow.
-_COEFF_SAFETY_BITS = 62
 
+def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
+    """X*Y for index arrays x, y: coefficient of w = #{(i, j) : g_i + g_j = w}.
 
-@dataclass(frozen=True)
-class GroupAlgebraElement:
-    """An element sum a_g * g of Z[G], stored as a coefficient vector."""
-
-    group: AbelianGroup
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.group.order,):
-            raise ValueError(
-                f"coefficient vector length {self.coeffs.shape} "
-                f"does not match group order {self.group.order}"
-            )
-
-    def coefficient(self, g: GroupElement) -> int:
-        return int(self.coeffs[self.group.index_of(g)])
-
-    def support(self) -> list[GroupElement]:
-        return [self.group.element_of(int(i)) for i in np.nonzero(self.coeffs)[0]]
-
-
-def _wrap(group: AbelianGroup, coeffs: np.ndarray) -> GroupAlgebraElement:
-    coeffs = coeffs.astype(np.int64)
-    coeffs.setflags(write=False)
-    return GroupAlgebraElement(group, coeffs)
-
-
-def ga_from_set(group: AbelianGroup, elements: Iterable[GroupElement]) -> GroupAlgebraElement:
-    """0/1 indicator vector of a subset (the bar notation for sets)."""
-    coeffs = np.zeros(group.order, dtype=np.int64)
-    for g in elements:
-        idx = group.index_of(tuple(g))
-        if coeffs[idx]:
-            raise ValueError(f"duplicate element {g}")
-        coeffs[idx] = 1
-    return _wrap(group, coeffs)
-
-
-def ga_identity(group: AbelianGroup) -> GroupAlgebraElement:
-    return ga_from_set(group, [group.identity])
-
-
-def ga_all(group: AbelianGroup) -> GroupAlgebraElement:
-    return _wrap(group, np.ones(group.order, dtype=np.int64))
-
-
-def ga_add(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    _same_group(x, y)
-    return _wrap(x.group, x.coeffs + y.coeffs)
-
-
-def ga_sub(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    _same_group(x, y)
-    return _wrap(x.group, x.coeffs - y.coeffs)
-
-
-def ga_scale(c: int, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    return _wrap(x.group, c * x.coeffs)
-
-
-def ga_negate_support(x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """The involution sum a_g * (-g)."""
-    out = np.zeros_like(x.coeffs)
-    out[x.group.neg_table] = x.coeffs
-    return _wrap(x.group, out)
-
-
-def ga_equal(x: GroupAlgebraElement, y: GroupAlgebraElement) -> bool:
-    _same_group(x, y)
-    return bool(np.array_equal(x.coeffs, y.coeffs))
-
-
-def _same_group(x: GroupAlgebraElement, y: GroupAlgebraElement) -> None:
-    if x.group != y.group:
-        raise ValueError(f"group mismatch: {x.group} vs {y.group}")
-
-
-def ga_mul(x: GroupAlgebraElement, y: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Convolution: coefficient of w is sum over g+h=w of a_g b_h."""
-    _same_group(x, y)
-    G = x.group
-    max_x = int(np.abs(x.coeffs).max(initial=0))
-    max_y = int(np.abs(y.coeffs).max(initial=0))
-    if max_x and max_y and (G.order * max_x * max_y).bit_length() > _COEFF_SAFETY_BITS:
-        raise OverflowError(
-            f"convolution coefficients could exceed int64 "
-            f"(|G|={G.order}, max|a|={max_x}, max|b|={max_y})"
-        )
-    sup_x = np.nonzero(x.coeffs)[0]
-    sup_y = np.nonzero(y.coeffs)[0]
-    out = np.zeros(G.order, dtype=np.int64)
-    if len(sup_x) and len(sup_y):
-        idx = G.add_table[np.ix_(sup_x, sup_y)]
-        vals = np.multiply.outer(x.coeffs[sup_x], y.coeffs[sup_y])
-        np.add.at(out, idx.ravel(), vals.ravel())
-    return _wrap(G, out)
+    A count is at most |X|*|Y| <= MAX_ORDER**2 = 2**24, so int64 is exact.
+    """
+    pairs = group.add_table[np.ix_(x, y)].ravel()
+    return np.bincount(pairs, minlength=group.order).astype(np.int64, copy=False)
 
 
 # --- identity checks --------------------------------------------------------------
@@ -132,18 +42,20 @@ class CheckResult:
         return self.ok
 
 
-def _first_mismatch(
-    group: AbelianGroup, actual: np.ndarray, expected: np.ndarray
-) -> Optional[dict]:
+def _compare(group: AbelianGroup, actual: np.ndarray, expected: np.ndarray) -> CheckResult:
+    """actual == expected, with the first differing element as the witness."""
     diff = np.nonzero(actual != expected)[0]
     if diff.size == 0:
-        return None
+        return CheckResult(ok=True)
     i = int(diff[0])
-    return {
-        "element": list(group.element_of(i)),
-        "actual": int(actual[i]),
-        "expected": int(expected[i]),
-    }
+    return CheckResult(
+        ok=False,
+        witness={
+            "element": list(group.element_of(i)),
+            "actual": int(actual[i]),
+            "expected": int(expected[i]),
+        },
+    )
 
 
 def verify_pds(
@@ -151,20 +63,17 @@ def verify_pds(
 ) -> CheckResult:
     """Is D a (|G|, |D|, lam, mu) partial difference set?
 
-    Counts representations g = d1 - d2 with d1, d2 in D via the convolution
-    of the indicator with its negated-support involution; the coefficient at
-    each nonidentity g must be lam (g in D) or mu (g not in D), and |D| at
-    the identity.
+    Counts representations g = d1 - d2 with d1, d2 in D as the product
+    D * D^(-1); the coefficient at each nonidentity g must be lam (g in D)
+    or mu (g not in D), and |D| at the identity (index 0).
     """
-    ind = ga_from_set(group, D)
-    conv = ga_mul(ind, ga_negate_support(ind))
-    size = int(ind.coeffs.sum())
-    expected = np.where(ind.coeffs == 1, lam, mu).astype(np.int64)
-    expected[group.index_of(group.identity)] = size
-    return CheckResult(
-        ok=bool(np.array_equal(conv.coeffs, expected)),
-        witness=_first_mismatch(group, conv.coeffs, expected),
-    )
+    d = np.array([group.index_of(tuple(g)) for g in D], dtype=np.int64)
+    if np.unique(d).size != d.size:
+        raise ValueError("duplicate element in D")
+    expected = np.full(group.order, mu, dtype=np.int64)
+    expected[d] = lam
+    expected[0] = d.size
+    return _compare(group, ga_mul(group, d, group.neg_table[d]), expected)
 
 
 def verify_srg_equation(
@@ -176,14 +85,11 @@ def verify_srg_equation(
         raise ValueError(
             f"params {params} disagree with |G|={group.order}, |S|={conn.size}"
         )
-    ind = ga_from_set(group, conn.elements)
-    lhs = ga_mul(ind, ind)
-    rhs = mu * np.ones(group.order, dtype=np.int64) + (lam - mu) * ind.coeffs
-    rhs[group.index_of(group.identity)] += k - mu
-    return CheckResult(
-        ok=bool(np.array_equal(lhs.coeffs, rhs)),
-        witness=_first_mismatch(group, lhs.coeffs, rhs),
-    )
+    s = conn.indices()
+    expected = np.full(n, mu, dtype=np.int64)
+    expected[s] = lam
+    expected[0] += k - mu
+    return _compare(group, ga_mul(group, s, s), expected)
 
 
 def verify_mixed_product(
@@ -195,41 +101,25 @@ def verify_mixed_product(
             f"mixed product needs |G| = 4t+1 and |S| = 2t; "
             f"got |G|={group.order}, |S|={conn.size}, t={t}"
         )
-    rest = complement_connection_set(conn)
-    lhs = ga_mul(ga_from_set(group, conn.elements), ga_from_set(group, rest.elements))
-    rhs = t * np.ones(group.order, dtype=np.int64)
-    rhs[group.index_of(group.identity)] = 0
-    return CheckResult(
-        ok=bool(np.array_equal(lhs.coeffs, rhs)),
-        witness=_first_mismatch(group, lhs.coeffs, rhs),
-    )
+    expected = np.full(group.order, t, dtype=np.int64)
+    expected[0] = 0
+    rest = complement_connection_set(conn).indices()
+    return _compare(group, ga_mul(group, conn.indices(), rest), expected)
 
 
 def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckResult:
     """Closure of span{e, S, N} under multiplication, N = G minus (S u {e}).
 
-    The three indicators have disjoint supports covering G, so a product lies
-    in their integer span iff it is constant on each of the three parts; the
-    first non-constant product is returned as the witness.
+    The three parts are disjoint and cover G, so a product lies in their
+    integer span iff it is constant on each part; the first non-constant
+    product is returned as the witness.
     """
-    e_idx = group.index_of(group.identity)
-    rest = complement_connection_set(conn)
-    parts = {
-        "e": np.array([e_idx]),
-        "S": np.array(conn.indices(), dtype=np.int64),
-        "N": np.array(rest.indices(), dtype=np.int64),
-    }
-    basis = {
-        name: _wrap(group, _indicator(group.order, idx))
-        for name, idx in parts.items()
-        if idx.size
-    }
-    for name_x, x in basis.items():
-        for name_y, y in basis.items():
-            prod = ga_mul(x, y).coeffs
+    parts = {"e": [0], "S": conn.indices(), "N": complement_connection_set(conn).indices()}
+    parts = {name: np.array(idx, dtype=np.int64) for name, idx in parts.items() if idx}
+    for name_x, x in parts.items():
+        for name_y, y in parts.items():
+            prod = ga_mul(group, x, y)
             for part_name, idx in parts.items():
-                if idx.size == 0:
-                    continue
                 vals = prod[idx]
                 if not (vals == vals[0]).all():
                     where = idx[np.nonzero(vals != vals[0])[0][0]]
@@ -244,9 +134,3 @@ def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckRes
                         },
                     )
     return CheckResult(ok=True)
-
-
-def _indicator(n: int, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros(n, dtype=np.int64)
-    out[idx] = 1
-    return out

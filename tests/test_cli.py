@@ -98,6 +98,15 @@ class TestConstruct:
         code, _, _ = run_cli(capsys, "construct", "davis", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, target):
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / target)
+        code, stdout, err = run_cli(capsys, "construct", "paley", "--q", "13", "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestVerify:
     @pytest.fixture()
@@ -143,6 +152,13 @@ class TestVerify:
     def test_unreadable_input_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "/nonexistent.g6", "--srg")
         assert code == 2
+
+    def test_empty_graph6_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "empty.g6"
+        p.write_bytes(b"")
+        code, _, err = run_cli(capsys, "verify", str(p), "--srg")
+        assert code == 2
+        assert err == "error: cannot read input: empty graph6 input\n"
 
     def test_deterministic_json(self, capsys, paley13_set):
         _, out1, _ = run_cli(capsys, "verify", paley13_set, "--srg", "--selfcomp")
