@@ -67,16 +67,11 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular."""
     G = conn.group
     n = G.order
-    s_idx = np.array(conn.indices(), dtype=np.int64)
-    rows = [0] * n
-    if len(s_idx):
-        add = G.add_table
-        for i in range(n):
-            hits = np.zeros(n, dtype=bool)
-            hits[add[i, s_idx]] = True
-            packed = np.packbits(hits, bitorder="little")
-            rows[i] = int.from_bytes(packed.tobytes(), "little")
-    return DenseGraph(rows, n)
+    A = np.zeros((n, n), dtype=bool)
+    s_idx = conn.indices()
+    if s_idx:
+        A[np.arange(n)[:, None], G.add_table[:, s_idx]] = True
+    return DenseGraph.from_adjacency(A)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:

@@ -1,12 +1,14 @@
 """Dense undirected simple graphs with exact structural certification.
 
-Adjacency lives in packed bit rows (Python ints), so common-neighbor counts
-are single AND+popcount operations and the GF(2) rank is an XOR basis of the
-rows; a numpy uint8 mirror is cached for the vectorized kernels: the per-edge
-common-neighbourhood pass (one float32 product per vertex, exact because
-every value is an integer below 2^24), the odd-p ranks (lazily reduced
-elimination in int32 or int64) and color refinement.  Every result is exact;
-there is no floating-point spectral computation.
+Adjacency lives in packed bit rows (Python ints), so the GF(2) rank is an
+XOR basis of the rows and a BFS ORs rows (the distances of graphs with a
+large eccentricity); a numpy uint8 mirror is cached for the vectorized
+kernels: the SRG check and the distance layers (float32 products of a block
+of 0/1 rows with the adjacency), the per-edge common-neighbourhood pass (one
+float32 product per vertex), the odd-p ranks (lazily reduced elimination in
+int32 or int64) and color refinement.  The float32 products are exact
+because every value they form is an integer below 2^24.  Every result is
+exact; there is no floating-point spectral computation.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ import numpy as np
 
 #: The desk-scale budget: the largest graph, group or field order built.
 MAX_ORDER = 4096
+
+#: Rows per float32 product in the SRG and distance-layer kernels.
+ROW_BLOCK = 256
+
+#: The largest n * (eccentricity of vertex 0) for which distances come from
+#: layer products rather than from a bit-row BFS per source.  On circulant
+#: graphs, with one BLAS thread, the two cost the same near 15 000 for
+#: n = 625 and 1500 and near 25 000 for n = 4096.
+LAYER_PRODUCT_LIMIT = 16384
 
 
 def check_order_budget(kind: str, order: int) -> None:
@@ -297,24 +308,121 @@ def _bfs_layers(graph: DenseGraph, source: int) -> list[int]:
         frontier = nxt
 
 
+def _base_layers(graph: DenseGraph) -> list[int]:
+    """The layers of vertex 0, memoised for is_connected and for the choice
+    of distance kernel in _distance_blocks."""
+    return _bfs_layers(graph, 0)
+
+
 def is_connected(graph: DenseGraph) -> bool:
-    layers = _bfs_layers(graph, 0)
+    layers = graph._memo(_base_layers)
     reached = 0
     for m in layers:
         reached |= m
     return reached == (1 << graph.n) - 1
 
 
+def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
+    """Yield (sources, dist) for each block of ROW_BLOCK sources, in source
+    order: dist[j, x] is the distance from sources[j] to x, -1 when x is not
+    reached.  A is the caller's float32 copy of the adjacency, if it has one;
+    otherwise the layer products make their own (64 MiB at n = 4096).
+
+    Layer products cost about 2n flops per source, vertex and layer, so they
+    are used only while n times the eccentricity of vertex 0 is at most
+    LAYER_PRODUCT_LIMIT; past it (long cycles and paths, say) each source
+    gets a bit-row BFS, whose cost grows with n but not with the number of
+    layers.
+    """
+    n = graph.n
+    products = n * (len(graph._memo(_base_layers)) - 1) <= LAYER_PRODUCT_LIMIT
+    if products and A is None:
+        A = graph.adjacency().astype(np.float32)
+    for start in range(0, n, ROW_BLOCK):
+        sources = np.arange(start, min(start + ROW_BLOCK, n))
+        if products:
+            yield sources, _product_distances(A, sources)
+        else:
+            yield sources, _bfs_distances(graph, sources)
+
+
+def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Layer i + 1 of each source is (L_i @ A > 0) minus the vertices already
+    reached.  Entries of L_i @ A count neighbours, so every entry and partial
+    sum is an integer at most n <= MAX_ORDER < 2^24: float32 holds it exactly
+    in any summation order."""
+    dist = np.full((len(sources), A.shape[0]), -1, dtype=np.int32)
+    layer = A[sources] > 0  # layer 1 needs no product
+    dist[layer] = 1
+    dist[np.arange(len(sources)), sources] = 0
+    unreached = dist < 0
+    depth = 1
+    while layer.any() and unreached.any():
+        layer = (layer.astype(np.float32) @ A > 0) & unreached
+        depth += 1
+        dist[layer] = depth
+        unreached &= ~layer
+    return dist
+
+
+def _bfs_distances(graph: DenseGraph, sources: np.ndarray) -> np.ndarray:
+    """The same distances by a bit-row BFS per source, as in _bfs_layers."""
+    rows = graph.rows
+    dist = np.full((len(sources), graph.n), -1, dtype=np.int32)
+    for j, s in enumerate(sources.tolist()):
+        row = [-1] * graph.n
+        visited = frontier = 1 << s
+        depth = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                row[u] = depth
+                nxt |= rows[u]
+                frontier ^= low
+            frontier = nxt & ~visited
+            visited |= frontier
+            depth += 1
+        dist[j] = row
+    return dist
+
+
+def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(above, below): above[j, x] and below[j, x] count the neighbours of x
+    one layer farther from and one layer nearer to sources[j], in a
+    connected k-regular graph.
+
+    A neighbour of x lies in x's layer or in one next to it, and those three
+    layers differ mod 3, so two float32 products (exact as in
+    _product_distances) count the neighbours in the layers = 0 and = 1 mod 3,
+    and k minus both counts those in the layers = 2 mod 3.
+    """
+    residue = dist % 3
+    c0 = (residue == 0).astype(np.float32) @ A
+    c1 = (residue == 1).astype(np.float32) @ A
+    counts = [c0, c1, k - c0 - c1]
+    above = np.choose((residue + 1) % 3, counts).astype(np.int32)
+    below = np.choose((residue + 2) % 3, counts).astype(np.int32)
+    return above, below
+
+
 def sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     """Per source vertex, the sizes of its distance spheres (sphere 0 first),
-    from one all-source BFS pass per graph."""
+    from one all-source pass of the distance kernel per graph."""
     return graph._memo(_sphere_sizes)
 
 
 def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(m.bit_count() for m in _bfs_layers(graph, s)) for s in range(graph.n)
-    )
+    out = []
+    for _sources, dist in _distance_blocks(graph):
+        # one bincount: row j of dist counts into bins j * (n + 1) + (dist + 1)
+        width = graph.n + 1
+        offsets = width * np.arange(len(dist))[:, None]
+        counts = np.bincount((dist + 1 + offsets).ravel(), minlength=width * len(dist))
+        counts = counts.reshape(len(dist), width)[:, 1 : int(dist.max()) + 2]
+        out.extend(tuple(c for c in row if c) for row in counts.tolist())
+    return tuple(out)
 
 
 def diameter(graph: DenseGraph) -> Optional[int]:
@@ -325,6 +433,16 @@ def diameter(graph: DenseGraph) -> Optional[int]:
     return max(len(sizes) - 1 for sizes in spheres)
 
 
+def _not_regular(graph: DenseGraph) -> Optional[tuple[int, int, int, int]]:
+    """(0, u, k, deg u) for the first vertex u whose degree differs from
+    vertex 0's, or None when the graph is regular."""
+    degs = graph.degrees()
+    for u in range(1, graph.n):
+        if degs[u] != degs[0]:
+            return (0, u, degs[0], degs[u])
+    return None
+
+
 def check_srg(graph: DenseGraph) -> SrgResult:
     """Certify strong regularity by direct common-neighbor counting, once per
     graph."""
@@ -332,40 +450,50 @@ def check_srg(graph: DenseGraph) -> SrgResult:
 
 
 def _check_srg(graph: DenseGraph) -> SrgResult:
+    """Count |N(u) & N(v)| for all pairs as C = A[rows] @ A, one block of
+    ROW_BLOCK rows at a time, and compare the upper triangle with lam on edges
+    and mu on non-edges.  lam and mu come from the first edge and the first
+    non-edge in row-major order, and the witness is the first pair that
+    differs in that order.  The float32 product is exact for the reason given
+    in _product_distances.
+    """
     n = graph.n
-    degs = graph.degrees()
-    k = degs[0]
-    for u in range(1, n):
-        if degs[u] != k:
-            return SrgResult(None, "not regular", (0, u, k, degs[u]))
+    witness = _not_regular(graph)
+    if witness is not None:
+        return SrgResult(None, "not regular", witness)
+    k = graph.degree(0)
     if k == n - 1:
         return SrgResult(None, "complete graph", None)
     if not is_connected(graph):
         return SrgResult(None, "disconnected", None)
-    lam = mu = None
-    lam_pair = mu_pair = None
-    for u in range(n):
-        ru = graph.rows[u]
-        for v in range(u + 1, n):
-            c = (ru & graph.rows[v]).bit_count()
-            if (ru >> v) & 1:
-                if lam is None:
-                    lam, lam_pair = c, (u, v)
-                elif c != lam:
-                    return SrgResult(
-                        None, "common-neighbor count not constant on edges",
-                        (lam_pair, lam, (u, v), c),
-                    )
+    # Connected, regular and not complete with n >= 2, so vertex 0 has both a
+    # neighbour and a non-neighbour, all above 0: the first edge and the first
+    # non-edge lie in row 0.
+    A = graph.adjacency()
+    v_lam = int(np.flatnonzero(A[0, 1:])[0]) + 1
+    v_mu = int(np.flatnonzero(A[0, 1:] == 0)[0]) + 1
+    lam = (graph.rows[0] & graph.rows[v_lam]).bit_count()
+    mu = (graph.rows[0] & graph.rows[v_mu]).bit_count()
+    A32 = A.astype(np.float32)
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        # C[i, j] = |N(start + i) & N(start + j)|: only columns from start on
+        # meet the upper triangle, and the diagonal is C[i, i].
+        C = A32[start:stop] @ A32[:, start:]
+        if (np.diagonal(C) != k).any():
+            raise SelfCheckError(f"a diagonal count in the block at row {start} is not k = {k}")
+        block = A[start:stop, start:]
+        bad = np.triu(C != np.where(block, np.float32(lam), np.float32(mu)), 1)
+        if bad.any():
+            i, j = divmod(int(np.flatnonzero(bad)[0]), n - start)
+            pair, c = (start + i, start + j), int(C[i, j])
+            if block[i, j]:
+                kind, first = "edges", ((0, v_lam), lam)
             else:
-                if mu is None:
-                    mu, mu_pair = c, (u, v)
-                elif c != mu:
-                    return SrgResult(
-                        None, "common-neighbor count not constant on non-edges",
-                        (mu_pair, mu, (u, v), c),
-                    )
-    if lam is None:
-        return SrgResult(None, "no edges", None)
+                kind, first = "non-edges", ((0, v_mu), mu)
+            return SrgResult(
+                None, f"common-neighbor count not constant on {kind}", (*first, pair, c)
+            )
     params = SrgParams(n, k, lam, mu)
     if not params.count_identity_holds():
         raise SelfCheckError(f"counted {params.as_tuple()} violate (n-k-1)mu = k(k-lam-1)")
@@ -383,47 +511,51 @@ def check_adjacency_identity(graph: DenseGraph, params: SrgParams) -> bool:
 
 
 def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
-    """Distance partition from every base vertex; b_i, c_i must be constant."""
-    n = graph.n
-    degs = graph.degrees()
-    k = degs[0]
-    for u in range(1, n):
-        if degs[u] != k:
-            return DistanceRegularResult(None, "not regular", (0, u, k, degs[u]))
-    base_layers = _bfs_layers(graph, 0)
-    full = (1 << n) - 1
-    if sum(base_layers) != full:  # layers are disjoint masks
-        return DistanceRegularResult(None, "disconnected", None)
-    d = len(base_layers) - 1
-    bs: list[Optional[int]] = [None] * d
-    cs: list[Optional[int]] = [None] * d
-    for s in range(n):
-        layers = _bfs_layers(graph, s)
-        if len(layers) - 1 != d:
+    """Distance partition from every base vertex; b_i, c_i must be constant.
+
+    Source 0 fixes the diameter d and, at the first vertex of each of its
+    layers, the reference b_i and c_i.  The witness is the first failure in
+    source order; within a source the eccentricity is checked first, then
+    the vertices by (layer, vertex), b before c.
+    """
+    witness = _not_regular(graph)
+    if witness is not None:
+        return DistanceRegularResult(None, "not regular", witness)
+    k = graph.degree(0)
+    A = graph.adjacency().astype(np.float32)
+    for sources, dist in _distance_blocks(graph, A):
+        if sources[0] == 0 and (dist[0] < 0).any():
+            return DistanceRegularResult(None, "disconnected", None)
+        above, below = _layer_counts(A, dist, k)
+        if sources[0] == 0:
+            d = int(dist[0].max())
+            first = [int(np.flatnonzero(dist[0] == i)[0]) for i in range(d + 1)]
+            bs = [int(above[0, x]) for x in first[:d]]
+            cs = [int(below[0, x]) for x in first[1:]]
+            b_ref = np.array(bs + [0], dtype=np.int32)  # indexed by layer; no b at layer d
+            c_ref = np.array([0] + cs, dtype=np.int32)  # no c at layer 0
+        ecc = dist.max(axis=1)
+        layer = np.minimum(dist, d)
+        bad_b = (layer < d) & (above != b_ref[layer])
+        bad_c = (layer > 0) & (below != c_ref[layer])
+        failing = np.flatnonzero((ecc != d) | (bad_b | bad_c).any(axis=1))
+        if failing.size:
+            j = int(failing[0])
+            s = int(sources[j])
+            if ecc[j] != d:
+                return DistanceRegularResult(
+                    None, "eccentricity not constant", (0, d, s, int(ecc[j]))
+                )
+            xs = np.flatnonzero(bad_b[j] | bad_c[j])
+            x = int(xs[np.lexsort((xs, layer[j, xs]))[0]])
+            i = int(layer[j, x])
+            if bad_b[j, x]:
+                return DistanceRegularResult(
+                    None, f"b_{i} not constant", (s, x, bs[i], int(above[j, x]))
+                )
             return DistanceRegularResult(
-                None, "eccentricity not constant", (0, d, s, len(layers) - 1)
+                None, f"c_{i} not constant", (s, x, cs[i - 1], int(below[j, x]))
             )
-        for i, layer in enumerate(layers):
-            above = layers[i + 1] if i + 1 <= d else 0
-            below = layers[i - 1] if i >= 1 else 0
-            for x in _bits(layer):
-                rx = graph.rows[x]
-                b = (rx & above).bit_count()
-                c = (rx & below).bit_count()
-                if i < d:
-                    if bs[i] is None:
-                        bs[i] = b
-                    elif bs[i] != b:
-                        return DistanceRegularResult(
-                            None, f"b_{i} not constant", (s, x, bs[i], b)
-                        )
-                if i >= 1:
-                    if cs[i - 1] is None:
-                        cs[i - 1] = c
-                    elif cs[i - 1] != c:
-                        return DistanceRegularResult(
-                            None, f"c_{i} not constant", (s, x, cs[i - 1], c)
-                        )
     return DistanceRegularResult(IntersectionArray(tuple(bs), tuple(cs)))
 
 

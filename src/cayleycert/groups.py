@@ -104,6 +104,8 @@ class AbelianGroup:
         self._check(g)
         idx = 0
         for r, n in zip(g, self.factors):
+            if not 0 <= r < n:
+                raise ValueError(f"{tuple(g)} is not a reduced element of {self}")
             idx = idx * n + r
         return idx
 
@@ -155,10 +157,15 @@ class AbelianGroup:
         tab = self._cache.get("add_table")
         if tab is None:
             check_order_budget("group", self.order)
-            res = self.residue_matrix
-            factors = np.array(self.factors, dtype=np.int64)
-            summed = (res[:, None, :] + res[None, :, :]) % factors
-            tab = (summed @ self.index_weights).astype(np.int32)
+            # One coordinate at a time: T = sum over positions of
+            # ((r_i + r_j) mod n_pos) * w_pos; every partial sum is an index.
+            tab = np.zeros((self.order, self.order), dtype=np.int32)
+            for pos, (n, w) in enumerate(zip(self.factors, self.index_weights.tolist())):
+                r = self.residue_matrix[:, pos].astype(np.int32)
+                summed = r[:, None] + r[None, :]
+                summed[summed >= n] -= n
+                summed *= w
+                tab += summed
             tab.setflags(write=False)
             self._cache["add_table"] = tab
         return tab

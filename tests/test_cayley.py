@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from cayleycert.cayley import (
@@ -29,6 +30,19 @@ def random_inverse_closed(G: AbelianGroup, rng: random.Random) -> ConnectionSet:
             elems.add(g)
             elems.add(G.neg(g))
     return validate_connection_set(G, elems)
+
+
+def reference_build_cayley(conn: ConnectionSet) -> tuple[int, ...]:
+    """The per-row loop build_cayley replaced: one packed bit row per vertex."""
+    G = conn.group
+    s_idx = np.array(conn.indices(), dtype=np.int64)
+    rows = [0] * G.order
+    if len(s_idx):
+        for i in range(G.order):
+            hits = np.zeros(G.order, dtype=bool)
+            hits[G.add_table[i, s_idx]] = True
+            rows[i] = int.from_bytes(np.packbits(hits, bitorder="little").tobytes(), "little")
+    return tuple(rows)
 
 
 class TestValidation:
@@ -91,6 +105,15 @@ class TestBuild:
     def test_paley13_is_6_regular(self):
         g = build_cayley(paley(13).connection_set)
         assert set(g.degrees()) == {6}
+
+    def test_rows_match_per_row_loop(self):
+        rng = random.Random(61)
+        sets = [davis(7).connection_set, davis(3).connection_set, paley(13).connection_set]
+        for factors in [(3,), (4,), (5,), (6,), (9,), (12,), (13,), (2, 4), (2, 6), (3, 3), (5, 5)]:
+            G = AbelianGroup(factors)
+            sets += [validate_connection_set(G, []), random_inverse_closed(G, rng)]
+        for conn in sets:
+            assert build_cayley(conn).rows == reference_build_cayley(conn)
 
 
 class TestComplementSet:

@@ -2,6 +2,7 @@
 mod-p ranks, and the graph6 / edge-list formats (graph6 against networkx)."""
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -11,14 +12,17 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from cayleycert.cayley import build_cayley, validate_connection_set
+from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
 from cayleycert.families import davis, paley
 from cayleycert.groups import AbelianGroup
 from cayleycert import graphs
 from cayleycert.graphs import (
     DenseGraph,
+    DistanceRegularResult,
+    IntersectionArray,
     SelfCheckError,
     SrgParams,
+    SrgResult,
     _edges_inside,
     check_adjacency_identity,
     check_srg,
@@ -369,6 +373,225 @@ class TestCommonNeighborhoodPass:
         )
         assert proc.returncode == 0, proc.stderr
         assert "odd diag(B^3)" in proc.stdout
+
+
+def reference_check_srg(g):
+    """The pair loop check_srg replaced: one AND+popcount per pair u < v in
+    row-major order, lam and mu fixed by the first edge and non-edge."""
+    n = g.n
+    degs = g.degrees()
+    k = degs[0]
+    for u in range(1, n):
+        if degs[u] != k:
+            return SrgResult(None, "not regular", (0, u, k, degs[u]))
+    if k == n - 1:
+        return SrgResult(None, "complete graph", None)
+    if not is_connected(g):
+        return SrgResult(None, "disconnected", None)
+    lam = mu = None
+    lam_pair = mu_pair = None
+    for u in range(n):
+        ru = g.rows[u]
+        for v in range(u + 1, n):
+            c = (ru & g.rows[v]).bit_count()
+            if (ru >> v) & 1:
+                if lam is None:
+                    lam, lam_pair = c, (u, v)
+                elif c != lam:
+                    return SrgResult(
+                        None, "common-neighbor count not constant on edges",
+                        (lam_pair, lam, (u, v), c),
+                    )
+            else:
+                if mu is None:
+                    mu, mu_pair = c, (u, v)
+                elif c != mu:
+                    return SrgResult(
+                        None, "common-neighbor count not constant on non-edges",
+                        (mu_pair, mu, (u, v), c),
+                    )
+    if lam is None:
+        return SrgResult(None, "no edges", None)
+    return SrgResult(SrgParams(n, k, lam, mu))
+
+
+def reference_intersection_array(g):
+    """The per-source loop intersection_array replaced: a bit-mask BFS from
+    every source and two popcounts per vertex."""
+    n = g.n
+    degs = g.degrees()
+    k = degs[0]
+    for u in range(1, n):
+        if degs[u] != k:
+            return DistanceRegularResult(None, "not regular", (0, u, k, degs[u]))
+    base_layers = graphs._bfs_layers(g, 0)
+    if sum(base_layers) != (1 << n) - 1:
+        return DistanceRegularResult(None, "disconnected", None)
+    d = len(base_layers) - 1
+    bs = [None] * d
+    cs = [None] * d
+    for s in range(n):
+        layers = graphs._bfs_layers(g, s)
+        if len(layers) - 1 != d:
+            return DistanceRegularResult(
+                None, "eccentricity not constant", (0, d, s, len(layers) - 1)
+            )
+        for i, layer in enumerate(layers):
+            above = layers[i + 1] if i + 1 <= d else 0
+            below = layers[i - 1] if i >= 1 else 0
+            for x in range(n):
+                if not (layer >> x) & 1:
+                    continue
+                b = (g.rows[x] & above).bit_count()
+                c = (g.rows[x] & below).bit_count()
+                if i < d:
+                    if bs[i] is None:
+                        bs[i] = b
+                    elif bs[i] != b:
+                        return DistanceRegularResult(None, f"b_{i} not constant", (s, x, bs[i], b))
+                if i >= 1:
+                    if cs[i - 1] is None:
+                        cs[i - 1] = c
+                    elif cs[i - 1] != c:
+                        return DistanceRegularResult(
+                            None, f"c_{i} not constant", (s, x, cs[i - 1], c)
+                        )
+    return DistanceRegularResult(IntersectionArray(tuple(bs), tuple(cs)))
+
+
+def reference_sphere_sizes(g):
+    """The per-source bit-mask BFS sphere_sizes replaced."""
+    return tuple(
+        tuple(m.bit_count() for m in graphs._bfs_layers(g, s)) for s in range(g.n)
+    )
+
+
+def hypercube(d):
+    return DenseGraph.from_edges(
+        1 << d, [(u, u ^ (1 << b)) for u in range(1 << d) for b in range(d) if u < u ^ (1 << b)]
+    )
+
+
+def from_networkx(G):
+    return DenseGraph.from_edges(G.number_of_nodes(), list(G.edges()))
+
+
+def join(g, h):
+    """g and h side by side plus every edge between them; g's vertices first."""
+    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
+    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    return DenseGraph.from_edges(g.n + h.n, edges)
+
+
+def late_join():
+    """K_{4,4} joined to the Petersen complement: 14-regular, and every vertex
+    of K_{4,4} sees constant lam, mu, b_i and c_i, so both checks first fail at
+    row or source 8, the last of the third block when ROW_BLOCK is 3."""
+    k44 = DenseGraph.from_edges(8, [(a, b) for a in range(4) for b in range(4, 8)])
+    return join(k44, complement(from_networkx(nx.petersen_graph())))
+
+
+#: A 3-regular graph on 10 vertices whose distance partitions around
+#: vertices 0, 1 and 2 are equitable with the same b_i, c_i and eccentricity
+#: 2, while vertex 3 has eccentricity 3.  The first failure of both checks is
+#: in row or source 3, the first of the second block when ROW_BLOCK is 3.
+LATE_FAILURE = [
+    (0, 1), (0, 3), (0, 5), (1, 2), (1, 8), (2, 4), (2, 9), (3, 4),
+    (3, 7), (4, 7), (5, 6), (5, 9), (6, 8), (6, 9), (7, 8),
+]
+
+
+class TestBlockKernels:
+    """check_srg, intersection_array and sphere_sizes against the pair and
+    per-source BFS loops they replaced: same parameters or array, reason and
+    witness."""
+
+    def corpus(self):
+        rng = random.Random(43)
+        out = [random_graph(rng.randrange(2, 40), rng.random(), rng) for _ in range(16)]
+        out += [cycle(n) for n in range(5, 10)]
+        out += [hypercube(3), hypercube(4), from_networkx(nx.petersen_graph())]
+        out += [paley_graph(13), build_cayley(davis(3).connection_set)]
+        p5 = paley(5).connection_set
+        out.append(build_cayley(lex_product(p5, p5)))
+        # regular, not strongly regular and not vertex-transitive
+        out += [from_networkx(nx.random_regular_graph(3, n, seed=n)) for n in (12, 16, 20)]
+        out += [from_networkx(nx.frucht_graph()), DenseGraph.from_edges(10, LATE_FAILURE), late_join()]
+        # the Wagner graph: triangle-free, diameter 2, mu 1 or 2, so c_2 fails first
+        out.append(from_networkx(nx.circulant_graph(8, [1, 4])))
+        # disconnected: regular with equal or unequal components, isolated vertices
+        five = [(i, (i + 1) % 5) for i in range(5)]
+        out.append(DenseGraph.from_edges(10, five + [(u + 5, v + 5) for u, v in five]))
+        out.append(DenseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))
+        out += [DenseGraph([0] * 4), DenseGraph([0])]
+        # more vertices than one default block
+        out += [paley_graph(257), from_networkx(nx.random_regular_graph(4, 300, seed=7))]
+        # n times the eccentricity of vertex 0 past LAYER_PRODUCT_LIMIT: the bit-row BFS
+        out += [cycle(200), path(150)]
+        return out + [complement(g) for g in out]
+
+    def assert_matches_loops(self, g):
+        srg, dr = graphs._check_srg(g), intersection_array(g)
+        assert srg == reference_check_srg(g)
+        assert dr == reference_intersection_array(g)
+        json.dumps([srg.witness, dr.witness])  # plain ints, as verify reports them
+        assert graphs._sphere_sizes(g) == reference_sphere_sizes(g)
+        return srg.reason, dr.reason
+
+    def test_against_loops(self):
+        corpus = self.corpus()
+        assert max(g.n for g in corpus) > graphs.ROW_BLOCK
+        reasons = {r for g in corpus for r in self.assert_matches_loops(g)}
+        assert {
+            None,
+            "not regular",
+            "complete graph",
+            "disconnected",
+            "common-neighbor count not constant on edges",
+            "common-neighbor count not constant on non-edges",
+            "eccentricity not constant",
+        } <= reasons
+        assert any(r.startswith("b_") for r in reasons if r)
+        assert any(r.startswith("c_") for r in reasons if r)
+
+    @pytest.mark.parametrize("limit", [-1, 10**9], ids=["bfs", "products"])
+    def test_each_distance_kernel_against_loops(self, monkeypatch, limit):
+        monkeypatch.setattr(graphs, "LAYER_PRODUCT_LIMIT", limit)
+        for g in self.corpus():
+            self.assert_matches_loops(g)
+
+    def test_kernel_choice(self, monkeypatch):
+        used = []
+        for name in ("_product_distances", "_bfs_distances"):
+            kernel = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
+        for g in (cycle(100), paley_graph(257), cycle(200), path(150)):
+            used.clear()
+            graphs._sphere_sizes(g)
+            n_ecc = g.n * (len(graphs._bfs_layers(g, 0)) - 1)
+            want = "_product_distances" if n_ecc <= graphs.LAYER_PRODUCT_LIMIT else "_bfs_distances"
+            assert set(used) == {want}
+        assert used == ["_bfs_distances"]  # path(150): 150 * 149 > LAYER_PRODUCT_LIMIT
+
+    @pytest.mark.parametrize("limit", [-1, 10**9], ids=["bfs", "products"])
+    def test_against_loops_across_block_edges(self, monkeypatch, limit):
+        monkeypatch.setattr(graphs, "ROW_BLOCK", 3)
+        monkeypatch.setattr(graphs, "LAYER_PRODUCT_LIMIT", limit)
+        for g in self.corpus():
+            self.assert_matches_loops(g)
+        late = DenseGraph.from_edges(10, LATE_FAILURE)
+        assert graphs._check_srg(late).witness[2] == (3, 4)
+        assert intersection_array(late).witness == (0, 2, 3, 3)
+        assert graphs._check_srg(late_join()).witness[2] == (8, 9)
+        assert intersection_array(late_join()).witness == (8, 10, 3, 2)
+
+    def test_diagonal_fault_raises(self):
+        g = paley_graph(13)
+        mirror = g.adjacency().copy()
+        mirror[5, 0] = mirror[0, 5] = 1 - mirror[0, 5]  # the mirror disagrees with the rows
+        g._cache[graphs._unpack_rows] = mirror
+        with pytest.raises(SelfCheckError, match="diagonal count"):
+            graphs._check_srg(g)
 
 
 class TestModPRank:

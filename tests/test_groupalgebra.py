@@ -139,6 +139,14 @@ class TestVerifyPds:
         D = {(x,) for x in (1, 3, 4, 9, 10, 12)}
         assert not verify_pds(G, D, 3, 2).ok
 
+    def test_unreduced_elements_rejected(self):
+        # (-1,) once read as index -1 (element 4) and passed; (7,) hit an IndexError
+        Z5 = AbelianGroup((5,))
+        with pytest.raises(ValueError, match="not a reduced element"):
+            verify_pds(Z5, [(-1,), (1,)], 0, 1)
+        with pytest.raises(ValueError, match="not a reduced element"):
+            verify_pds(Z5, [(7,)], 0, 0)
+
 
 class TestSrgEquation:
     def test_paley5_hand_coefficients(self):

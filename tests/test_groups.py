@@ -221,6 +221,22 @@ class TestEnumeration:
                     G.element_of(i), G.element_of(j)
                 )
 
+    @pytest.mark.parametrize("factors", [(13,), (2, 4), (9, 9), (2, 3, 4), (2, 2, 2, 2), (25, 25)])
+    def test_add_table_against_broadcast(self, factors):
+        # the (n, n, rank) broadcast the per-coordinate build replaced
+        G = AbelianGroup(factors)
+        res = G.residue_matrix
+        summed = (res[:, None, :] + res[None, :, :]) % np.array(factors)
+        assert G.add_table.dtype == np.int32
+        assert np.array_equal(G.add_table, summed @ G.index_weights)
+
+    def test_index_of_rejects_unreduced(self):
+        G = AbelianGroup((5, 3))
+        for g in [(-1, 0), (5, 0), (0, 3), (7, -2)]:
+            with pytest.raises(ValueError, match="not a reduced element"):
+                G.index_of(g)
+        assert G.index_of((4, 2)) == 14
+
 
 class TestCyclicSubgroup:
     def test_examples(self):

@@ -226,14 +226,21 @@ class TestFingerprint:
     def test_one_all_source_bfs_per_graph(self, monkeypatch):
         from cayleycert import graphs
 
-        sources = []
-        bfs = graphs._bfs_layers
+        sources, passes = [], []
+        bfs, blocks = graphs._bfs_layers, graphs._distance_blocks
         monkeypatch.setattr(graphs, "_bfs_layers", lambda g, s: sources.append(s) or bfs(g, s))
+        monkeypatch.setattr(graphs, "_distance_blocks", lambda g, A=None: passes.append(g) or blocks(g, A))
         g = build_cayley(paley(13).connection_set)
         fingerprint(g)
         assert graphs.diameter(g) == 2
-        # check_srg's connectivity test from vertex 0, then one pass from every source
-        assert sources == [0] + list(range(g.n))
+        h = complement(g)
+        fingerprint(h)
+        assert graphs.diameter(h) == 2
+        # the layers of vertex 0 once per graph (memoised for check_srg's
+        # connectivity test and the distance kernel's choice), then one
+        # all-source distance pass per graph
+        assert sources == [0, 0]
+        assert len(passes) == 2 and passes[0] is g and passes[1] is h
 
 
 class TestRefinementInvariance:
