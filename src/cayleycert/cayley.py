@@ -71,7 +71,7 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     s_idx = conn.indices()
     if s_idx:
         A[np.arange(n)[:, None], G.add_table[:, s_idx]] = True
-    return DenseGraph.from_adjacency(A)
+    return DenseGraph(A)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
@@ -81,24 +81,6 @@ def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
         g for g in G.elements() if g != G.identity and g not in conn.elements
     )
     return ConnectionSet(G, rest)
-
-
-def is_connected_cayley(conn: ConnectionSet) -> bool:
-    """True iff the subgroup generated by S is all of G."""
-    G = conn.group
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = sorted(conn.elements)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = G.add(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return len(seen) == G.order
 
 
 def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:

@@ -23,7 +23,6 @@ from .cayley import (
     build_cayley,
     connection_set_from_text,
     connection_set_to_text,
-    is_connected_cayley,
     lex_product,
 )
 from .families import (
@@ -42,6 +41,7 @@ from .graphs import (
     from_edge_list,
     from_graph6,
     intersection_array,
+    is_connected,
     to_graph6,
 )
 from .groupalgebra import (
@@ -303,7 +303,7 @@ def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet], args) ->
         "diameter": "disconnected" if diam is None else diam,
     }
     if conn is not None:
-        out["connected_cayley"] = is_connected_cayley(conn)
+        out["connected_cayley"] = is_connected(graph)
     return out
 
 

@@ -1,20 +1,22 @@
 """Dense undirected simple graphs with exact structural certification.
 
-Adjacency lives in packed bit rows (Python ints), so the GF(2) rank is an
-XOR basis of the rows and a BFS ORs rows (the distances of graphs with a
-large eccentricity); a numpy uint8 mirror is cached for the vectorized
-kernels: the SRG check and the distance layers (float32 products of a block
-of 0/1 rows with the adjacency), the per-edge common-neighbourhood pass (one
-float32 product per vertex), the odd-p ranks (lazily reduced elimination in
-int32 or int64) and color refinement.  The float32 products are exact
-because every value they form is an integer below 2^24.  Every result is
-exact; there is no floating-point spectral computation.
+A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
+kernels work on it directly: the SRG check and the distance layers (float32
+products of a block of 0/1 rows with the adjacency), the per-edge
+common-neighbourhood pass (one float32 product per vertex), the odd-p ranks
+(lazily reduced elimination in int32 or int64), color refinement and the
+graph6 format.  The float32 products are exact because every value they form
+is an integer below 2^24.  Where a kernel needs them, the rows are also
+packed into Python ints, once per graph: the GF(2) rank is an XOR basis of
+those bit rows, a BFS ORs them (the distances of graphs with a large
+eccentricity), and the deep refinement counts edges inside bitmasks.  Every
+result is exact; there is no floating-point spectral computation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Optional, Sequence
 
@@ -39,56 +41,51 @@ def check_order_budget(kind: str, order: int) -> None:
         raise ValueError(f"{kind} order {order} exceeds the desk-scale budget {MAX_ORDER}")
 
 
-@dataclass(frozen=True)
 class DenseGraph:
-    """Undirected simple graph; row i is the neighbor bitmask of vertex i."""
+    """Undirected simple graph, stored as its read-only n x n 0/1 uint8
+    adjacency matrix.  DenseGraph(A) checks A and keeps a copy of it."""
 
-    n: int
-    rows: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
-
-    def __init__(self, rows: Sequence[int], n: Optional[int] = None):
-        rows = tuple(int(r) for r in rows)
-        if n is None:
-            n = len(rows)
+    def __init__(self, A):
+        A = np.asarray(A)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, not of shape {A.shape}")
+        n = A.shape[0]
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         check_order_budget("graph", n)
-        if len(rows) != n:
-            raise ValueError(f"{len(rows)} rows for {n} vertices")
-        limit = 1 << n
-        for u, row in enumerate(rows):
-            if not 0 <= row < limit:
-                raise ValueError(f"row {u} has bits outside 0..{n - 1}")
-            if (row >> u) & 1:
-                raise ValueError(f"loop at vertex {u}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_cache", {})
-        A = self.adjacency()
-        if not np.array_equal(A, A.T):
-            u, v = map(int, np.argwhere(A != A.T)[0])
-            raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
+        _first_pair((A != 0) & (A != 1), "adjacency entry {} is not 0 or 1")
+        loops = np.flatnonzero(np.diagonal(A))
+        if loops.size:
+            raise ValueError(f"loop at vertex {loops[0]}")
+        A = A.astype(np.uint8, order="C")
+        _first_pair(A != A.T, "adjacency not symmetric at pair {}")
+        A.setflags(write=False)
+        self.n = n
+        self._adjacency = A
+        self._cache: dict = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DenseGraph":
-        rows = [0] * n
+        check_order_budget("graph", n)
+        A = np.zeros((n, n), dtype=np.uint8)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(rows, n)
+            A[u, v] = A[v, u] = 1
+        return cls(A)
 
-    @classmethod
-    def from_adjacency(cls, A: np.ndarray) -> "DenseGraph":
-        A = np.asarray(A)
-        n = A.shape[0]
-        packed = np.packbits(A.astype(bool), axis=1, bitorder="little")
-        rows = [int.from_bytes(packed[u].tobytes(), "little") for u in range(n)]
-        return cls(rows, n)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DenseGraph):
+            return NotImplemented
+        return bool(np.array_equal(self._adjacency, other._adjacency))
+
+    def __hash__(self) -> int:
+        return hash(self._adjacency.tobytes())
+
+    def __repr__(self) -> str:
+        return f"DenseGraph(n={self.n}, edges={self.edge_count()})"
 
     def _memo(self, compute):
         """compute(self), evaluated once per graph and kept in its cache."""
@@ -97,50 +94,56 @@ class DenseGraph:
         return self._cache[compute]
 
     def adjacency(self) -> np.ndarray:
-        """Cached n x n uint8 mirror of the bit rows."""
-        return self._memo(_unpack_rows)
+        """The stored read-only n x n uint8 adjacency matrix."""
+        return self._adjacency
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Row i packed into a Python int, the neighbour bitmask of vertex i,
+        for the XOR-basis, BFS and edges-inside-a-mask kernels; packed once
+        per graph."""
+        return self._memo(_pack_rows)
 
     def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
+        return int(np.count_nonzero(self._adjacency[u]))
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return np.count_nonzero(self._adjacency, axis=1).tolist()
 
     def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
+        return int(np.count_nonzero(self._adjacency)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
+        return bool(self._adjacency[u, v])
 
     def edges(self) -> list[tuple[int, int]]:
-        # row & -(2 << u) keeps the neighbors above u
-        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row & -(2 << u))]
+        us, vs = np.nonzero(np.triu(self._adjacency, 1))
+        return list(zip(us.tolist(), vs.tolist()))
 
     def relabel(self, perm: Sequence[int]) -> "DenseGraph":
         """Image graph where vertex u is renamed perm[u]."""
-        rows = [0] * self.n
-        for u in range(self.n):
-            m = self.rows[u]
-            acc = 0
-            while m:
-                lsb = m & -m
-                acc |= 1 << perm[lsb.bit_length() - 1]
-                m ^= lsb
-            rows[perm[u]] = acc
-        return DenseGraph(rows, self.n)
+        p = np.asarray(perm)
+        if len(p) != self.n or not is_permutation(p):
+            raise ValueError(f"{p.tolist()} is not a permutation of 0..{self.n - 1}")
+        inverse = np.argsort(p)
+        return DenseGraph(self._adjacency[np.ix_(inverse, inverse)])
 
 
-def _unpack_rows(graph: DenseGraph) -> np.ndarray:
-    nbytes = (graph.n + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in graph.rows)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(graph.n, nbytes),
-        axis=1,
-        bitorder="little",
-    )[:, : graph.n]
-    A = np.ascontiguousarray(bits)
-    A.setflags(write=False)
-    return A
+def _first_pair(bad: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first (u, v) where bad holds, if any."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise ValueError(message.format(divmod(int(hits[0]), bad.shape[1])))
+
+
+def is_permutation(perm: np.ndarray) -> bool:
+    """Is perm a one-dimensional permutation of 0..len(perm) - 1?"""
+    return perm.ndim == 1 and bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
+
+
+def _pack_rows(graph: DenseGraph) -> tuple[int, ...]:
+    packed = np.packbits(graph.adjacency(), axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _bits(mask: int):
@@ -156,6 +159,18 @@ def _edges_inside(rows: Sequence[int], mask: int) -> int:
     for w in _bits(mask):
         twice += (rows[w] & mask).bit_count()
     return twice // 2
+
+
+def class_edge_counts(graph: DenseGraph, colors: np.ndarray, k: int) -> np.ndarray:
+    """out[v, c] = e(G[N(v) & X_c]), where X_c holds the vertices of color c
+    (0 <= c < k): the edges inside each color class of each neighbourhood."""
+    masks = [0] * k
+    for v, c in enumerate(colors.tolist()):
+        masks[c] |= 1 << v
+    rows = graph.rows
+    return np.array(
+        [[_edges_inside(rows, row & mask) for mask in masks] for row in rows], dtype=np.int64
+    )
 
 
 # --- structural parameters ----------------------------------------------------
@@ -286,10 +301,9 @@ class DistanceRegularResult:
 
 
 def complement(graph: DenseGraph) -> DenseGraph:
-    n = graph.n
-    full = (1 << n) - 1
-    rows = [(r ^ full) & ~(1 << u) for u, r in enumerate(graph.rows)]
-    return DenseGraph(rows, n)
+    A = graph.adjacency() ^ 1
+    np.fill_diagonal(A, 0)
+    return DenseGraph(A)
 
 
 def _bfs_layers(graph: DenseGraph, source: int) -> list[int]:
@@ -472,8 +486,8 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     A = graph.adjacency()
     v_lam = int(np.flatnonzero(A[0, 1:])[0]) + 1
     v_mu = int(np.flatnonzero(A[0, 1:] == 0)[0]) + 1
-    lam = (graph.rows[0] & graph.rows[v_lam]).bit_count()
-    mu = (graph.rows[0] & graph.rows[v_mu]).bit_count()
+    lam = int(np.count_nonzero(A[0] & A[v_lam]))
+    mu = int(np.count_nonzero(A[0] & A[v_mu]))
     A32 = A.astype(np.float32)
     for start in range(0, n, ROW_BLOCK):
         stop = min(start + ROW_BLOCK, n)
@@ -693,6 +707,12 @@ def _odd_p_rank(graph: DenseGraph, p: int, shift: int) -> int:
 # --- external formats -----------------------------------------------------------
 
 
+def _graph6_order(n: int) -> np.ndarray:
+    """The n x n mask of graph6's bits: the pairs (i, j) with i < j, column
+    by column, are the lower triangle read row by row."""
+    return np.tri(n, k=-1, dtype=bool)
+
+
 def to_graph6(graph: DenseGraph) -> str:
     """Standard graph6 line (without trailing newline)."""
     n = graph.n
@@ -702,20 +722,12 @@ def to_graph6(graph: DenseGraph) -> str:
         header = "~" + "".join(
             chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0)
         )
-    bits = []
-    for j in range(1, n):
-        col = graph.rows[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return header + "".join(chars)
+    bits = graph.adjacency()[_graph6_order(n)]
+    six = np.zeros((len(bits) + 5) // 6 * 6, dtype=np.uint8)
+    six[: len(bits)] = bits
+    # packbits fills each byte from its high bit, so six bits land in bits 7..2
+    values = np.packbits(six.reshape(-1, 6), axis=1)[:, 0] >> 2
+    return header + (values + 63).tobytes().decode("ascii")
 
 
 def from_graph6(text: str) -> DenseGraph:
@@ -736,24 +748,19 @@ def from_graph6(text: str) -> DenseGraph:
         body = s[1:]
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"graph6 vertex count {n} outside budget 1..{MAX_ORDER}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"invalid graph6 byte {ch!r}")
-        bits.extend((val >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
-    return DenseGraph(rows, n)
+    # code points below 63 wrap around in uint32, so one bound finds every bad byte
+    values = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32) - np.uint32(63)
+    bad = np.flatnonzero(values > 63)
+    if bad.size:
+        raise ValueError(f"invalid graph6 byte {body[bad[0]]!r}")
+    bits = np.unpackbits(values.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    lower = np.zeros((n, n), dtype=np.uint8)
+    lower[_graph6_order(n)] = bits[:pairs]
+    return DenseGraph(lower | lower.T)
 
 
 def to_edge_list(graph: DenseGraph) -> str:

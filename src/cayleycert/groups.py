@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import check_order_budget
+from .graphs import check_order_budget, is_permutation
 
 GroupElement = tuple[int, ...]
 
@@ -247,15 +247,9 @@ def make_automorphism(
             )
     sigma = GroupAutomorphism(G, images)
     perm = sigma.as_permutation()
-    if not _is_permutation(perm):
+    if not is_permutation(perm):
         raise ValueError(f"generator images {images} do not induce a bijection")
     return sigma
-
-
-def _is_permutation(perm: np.ndarray) -> bool:
-    seen = np.zeros(perm.shape[0], dtype=bool)
-    seen[perm] = True
-    return bool(seen.all())
 
 
 def _element_orders(G: AbelianGroup) -> np.ndarray:

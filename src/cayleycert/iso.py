@@ -11,8 +11,9 @@ Decision pipeline, cheapest sound step first:
   3. individualization-refinement backtracking search: complete decider,
      returns an explicit vertex bijection or exhausts the tree.
 
-Every positive answer is re-validated against the bit matrices before it is
-returned; refutations carry the distinguishing invariant and both values.
+Every positive answer is re-validated against the adjacency matrices before
+it is returned; refutations carry the distinguishing invariant and both
+values.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .graphs import (
     DenseGraph,
     SelfCheckError,
     SrgParams,
-    _edges_inside,
     check_srg,
+    class_edge_counts,
     complement,
     edge_neighborhood_edge_profile,
     invariant_counts,
+    is_permutation,
     mod_p_rank,
     sphere_sizes,
 )
@@ -195,19 +197,11 @@ def verify_certificate(g1: DenseGraph, g2: DenseGraph, perm: Sequence[int]) -> b
     if g1.n != g2.n:
         return False
     p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (g1.n,) or not _is_perm(p):
+    if p.shape != (g1.n,) or not is_permutation(p):
         return False
     A1 = g1.adjacency()
     A2 = g2.adjacency()
     return bool(np.array_equal(A2[np.ix_(p, p)], A1))
-
-
-def _is_perm(p: np.ndarray) -> bool:
-    seen = np.zeros(p.shape[0], dtype=bool)
-    if (p < 0).any() or (p >= p.shape[0]).any():
-        return False
-    seen[p] = True
-    return bool(seen.all())
 
 
 # --- group-automorphism certificates ------------------------------------------------
@@ -247,7 +241,7 @@ def selfcomp_by_group_automorphism(
             scanned += hit + 1
             sigma = GroupAutomorphism(G, tuple(G.element_of(int(i)) for i in img_idx[hit]))
             perm = sigma.as_permutation()
-            if not (_is_perm(perm) and np.array_equal(np.sort(perm[s_idx]), n_idx)):
+            if not (is_permutation(perm) and np.array_equal(np.sort(perm[s_idx]), n_idx)):
                 raise SelfCheckError(
                     f"automorphism {sigma.generator_images} passed the scan but does "
                     "not carry S onto its complement"
@@ -332,16 +326,7 @@ def _refine_pair(
 
 def _deep_signature(g: DenseGraph, colors: np.ndarray, k: int) -> np.ndarray:
     """Rows (color(v), e(G[N(v) & X_0]), ..., e(G[N(v) & X_{k-1}]))."""
-    n = g.n
-    masks = [0] * k
-    for v in range(n):
-        masks[colors[v]] |= 1 << v
-    out = np.zeros((n, k + 1), dtype=np.int64)
-    out[:, 0] = colors
-    rows = g.rows
-    for v in range(n):
-        out[v, 1:] = [_edges_inside(rows, rows[v] & mask) for mask in masks]
-    return out
+    return np.column_stack([colors, class_edge_counts(g, colors, k)])
 
 
 # --- individualization-refinement search ----------------------------------------------

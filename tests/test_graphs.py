@@ -4,12 +4,14 @@ mod-p ranks, and the graph6 / edge-list formats (graph6 against networkx)."""
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
@@ -17,6 +19,7 @@ from cayleycert.families import davis, paley
 from cayleycert.groups import AbelianGroup
 from cayleycert import graphs
 from cayleycert.graphs import (
+    MAX_ORDER,
     DenseGraph,
     DistanceRegularResult,
     IntersectionArray,
@@ -52,6 +55,10 @@ def path(n):
     return DenseGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def empty(n):
+    return DenseGraph(np.zeros((n, n), dtype=np.uint8))
+
+
 def random_graph(n, p, rng):
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
     return DenseGraph.from_edges(n, edges)
@@ -85,25 +92,62 @@ def rank_oracle(matrix, p):
 
 class TestConstruction:
     def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            DenseGraph([0b010, 0b000, 0b000])
+        with pytest.raises(ValueError, match=re.escape("not symmetric at pair (0, 1)")):
+            DenseGraph([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
 
     def test_rejects_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loop at vertex 1"):
             DenseGraph.from_edges(3, [(1, 1)])
+        with pytest.raises(ValueError, match="loop at vertex 1"):
+            DenseGraph([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize(
+        "A, message",
+        [
+            ([0b010, 0b000, 0b000], r"square matrix, not of shape \(3,\)"),  # bit rows
+            (np.zeros((2, 3)), r"square matrix, not of shape \(2, 3\)"),
+            (np.zeros((0, 0)), "at least one vertex"),
+            (np.zeros((MAX_ORDER + 1,) * 2, dtype=np.uint8), "exceeds the desk-scale budget"),
+            ([[0, 2], [2, 0]], re.escape("entry (0, 1) is not 0 or 1")),
+            ([[0, 1], [-1, 0]], re.escape("entry (1, 0) is not 0 or 1")),
+            ([[0, 0.5], [0.5, 0]], re.escape("entry (0, 1) is not 0 or 1")),
+        ],
+    )
+    def test_rejects_invalid_matrix(self, A, message):
+        with pytest.raises(ValueError, match=message):
+            DenseGraph(A)
+
+    def test_from_edges_checks_budget_first(self):
+        with pytest.raises(ValueError, match="exceeds the desk-scale budget"):
+            DenseGraph.from_edges(10**6, [])  # no 10^12-byte matrix is allocated
+        with pytest.raises(ValueError, match=re.escape("edge (0, 3) out of range for n=3")):
+            DenseGraph.from_edges(3, [(0, 3)])
+
+    def test_keeps_a_read_only_copy(self):
+        A = np.array([[0, 1], [1, 0]])
+        g = DenseGraph(A)
+        A[0, 1] = A[1, 0] = 0
+        assert g.has_edge(0, 1) and g.adjacency().dtype == np.uint8
+        with pytest.raises(ValueError):
+            g.adjacency()[0, 1] = 0
 
     def test_adjacency_mirror(self):
         g = cycle(5)
         A = g.adjacency()
         for u in range(5):
             for v in range(5):
-                assert bool(A[u, v]) == g.has_edge(u, v)
+                assert bool(A[u, v]) == g.has_edge(u, v) == bool((g.rows[u] >> v) & 1)
 
     def test_relabel_preserves_structure(self):
         g = path(4)
         h = g.relabel([3, 1, 0, 2])
         assert sorted(g.degrees()) == sorted(h.degrees())
         assert g.edge_count() == h.edge_count()
+
+    @pytest.mark.parametrize("perm", [[1, 2, 3, 4], [-1, 0, 1, 2], [0, 0, 1, 2], [0, 1, 2]])
+    def test_relabel_rejects_non_permutation(self, perm):
+        with pytest.raises(ValueError, match=re.escape(f"{perm} is not a permutation of 0..3")):
+            path(4).relabel(perm)
 
 
 class TestComplement:
@@ -121,21 +165,20 @@ class TestComplement:
         assert g == want
 
     def test_empty_to_complete(self):
-        g = DenseGraph([0, 0, 0])
-        assert complement(g) == complete(3)
+        assert complement(empty(3)) == complete(3)
 
 
 class TestDiameter:
     def test_examples(self):
         assert diameter(cycle(5)) == 2
         assert diameter(paley_graph(13)) == 2
-        assert diameter(DenseGraph([0, 0])) is None  # two isolated vertices
+        assert diameter(empty(2)) is None  # two isolated vertices
         assert diameter(cycle(6)) == 3
-        assert diameter(DenseGraph([0])) == 0
+        assert diameter(empty(1)) == 0
 
     def test_connectivity(self):
         assert is_connected(cycle(7))
-        assert not is_connected(DenseGraph([0, 0]))
+        assert not is_connected(empty(2))
 
 
 class TestCheckSrg:
@@ -163,7 +206,7 @@ class TestCheckSrg:
 
     def test_rejects_degenerates(self):
         assert check_srg(complete(5)).reason == "complete graph"
-        assert check_srg(DenseGraph([0, 0])).reason == "disconnected"
+        assert check_srg(empty(2)).reason == "disconnected"
         assert not check_srg(path(3)).is_srg
 
 
@@ -341,10 +384,10 @@ import numpy as np
 from cayleycert import graphs
 
 g = graphs.DenseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-mirror = np.zeros((4, 4), dtype=np.uint8)
-mirror[0, 1:] = mirror[1:, 0] = 1
-mirror[1, 2] = mirror[1, 3] = mirror[2, 3] = 1  # one arc per edge of the triangle in N(0)
-g._cache[graphs._unpack_rows] = mirror
+faulty = np.zeros((4, 4), dtype=np.uint8)
+faulty[0, 1:] = faulty[1:, 0] = 1
+faulty[1, 2] = faulty[1, 3] = faulty[2, 3] = 1  # one arc per edge of the triangle in N(0)
+g._adjacency = faulty  # past the constructor, which rejects an asymmetric matrix
 try:
     graphs._common_neighborhood_pass(g)
 except graphs.SelfCheckError as exc:
@@ -359,8 +402,8 @@ class TestCommonNeighborhoodPass:
         rng = random.Random(41)
         out = [random_graph(rng.randrange(40, 151), rng.random(), rng) for _ in range(4)]
         part = random_graph(30, 0.5, rng)
-        out.append(DenseGraph(list(part.rows) + [0] * 20, 50))  # 20 more, all isolated
-        out += [complete(45), DenseGraph([0] * 40)]
+        out.append(DenseGraph(np.pad(part.adjacency(), (0, 20))))  # 20 more, all isolated
+        out += [complete(45), empty(40)]
         return out + [complement(g) for g in out]
 
     def test_against_per_edge_loop(self):
@@ -523,7 +566,7 @@ class TestBlockKernels:
         five = [(i, (i + 1) % 5) for i in range(5)]
         out.append(DenseGraph.from_edges(10, five + [(u + 5, v + 5) for u, v in five]))
         out.append(DenseGraph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]))
-        out += [DenseGraph([0] * 4), DenseGraph([0])]
+        out += [empty(4), empty(1)]
         # more vertices than one default block
         out += [paley_graph(257), from_networkx(nx.random_regular_graph(4, 300, seed=7))]
         # n times the eccentricity of vertex 0 past LAYER_PRODUCT_LIMIT: the bit-row BFS
@@ -587,9 +630,12 @@ class TestBlockKernels:
 
     def test_diagonal_fault_raises(self):
         g = paley_graph(13)
-        mirror = g.adjacency().copy()
-        mirror[5, 0] = mirror[0, 5] = 1 - mirror[0, 5]  # the mirror disagrees with the rows
-        g._cache[graphs._unpack_rows] = mirror
+        faulty = g.adjacency().copy()
+        v, w = np.flatnonzero(faulty[0])[0], np.flatnonzero(faulty[0, 1:] == 0)[0] + 1
+        # move the arc 0 -> v to 0 -> w in row 0 alone: every row sum stays k,
+        # so the graph still reads as regular, but only k - 1 arcs from 0 return
+        faulty[0, v], faulty[0, w] = 0, 1
+        g._adjacency = faulty  # past the constructor, which rejects an asymmetric matrix
         with pytest.raises(SelfCheckError, match="diagonal count"):
             graphs._check_srg(g)
 
@@ -597,7 +643,7 @@ class TestBlockKernels:
 class TestModPRank:
     def test_examples(self):
         assert mod_p_rank(cycle(5), 2) == 4
-        assert mod_p_rank(DenseGraph([0, 0, 0, 0]), 3) == 0
+        assert mod_p_rank(empty(4), 3) == 0
         assert mod_p_rank(complete(3), 3, shift=1) == 1  # A+I = J over Z_3
 
     def test_against_oracle(self):
@@ -640,20 +686,106 @@ class TestModPRank:
             mod_p_rank(cycle(5), 4)
 
 
+def dense_random_graph(n, seed):
+    """A seeded G(n, 1/2) drawn as a numpy bit matrix."""
+    upper = np.triu(np.random.default_rng(seed).integers(0, 2, size=(n, n), dtype=np.uint8), 1)
+    return DenseGraph(upper | upper.T)
+
+
+def reference_to_graph6(g):
+    """The bit loop to_graph6 replaced: bit (i, j), i < j, column by column."""
+    n = g.n
+    header = chr(n + 63) if n <= 62 else "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
+    bits = []
+    for j in range(1, n):
+        col = g.rows[j]
+        for i in range(j):
+            bits.append((col >> i) & 1)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = []
+    for i in range(0, len(bits), 6):
+        val = 0
+        for b in bits[i : i + 6]:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return header + "".join(chars)
+
+
+def reference_from_graph6(text):
+    """The bit loop from_graph6 replaced, for a header-free line: the bit rows."""
+    if text[0] == "~":
+        n = ((ord(text[1]) - 63) << 12) | ((ord(text[2]) - 63) << 6) | (ord(text[3]) - 63)
+        body = text[4:]
+    else:
+        n, body = ord(text[0]) - 63, text[1:]
+    bits = []
+    for ch in body:
+        bits.extend(((ord(ch) - 63) >> s6) & 1 for s6 in (5, 4, 3, 2, 1, 0))
+    rows = [0] * n
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            pos += 1
+    return tuple(rows)
+
+
+def reference_relabel(g, perm):
+    """The bit loop relabel replaced: the bit rows of the image."""
+    rows = [0] * g.n
+    for u in range(g.n):
+        m = g.rows[u]
+        acc = 0
+        while m:
+            lsb = m & -m
+            acc |= 1 << perm[lsb.bit_length() - 1]
+            m ^= lsb
+        rows[perm[u]] = acc
+    return tuple(rows)
+
+
+def reference_complement(g):
+    """The bit loop complement replaced: the bit rows of the complement."""
+    full = (1 << g.n) - 1
+    return tuple((r ^ full) & ~(1 << u) for u, r in enumerate(g.rows))
+
+
 class TestGraph6:
     def graphs(self):
         rng = random.Random(37)
-        yield DenseGraph([0])
+        yield empty(1)
         yield cycle(5)
         yield complete(4)
         yield paley_graph(13)
-        yield DenseGraph([0] * 3)
+        yield empty(3)
         for _ in range(6):
             yield random_graph(rng.randrange(2, 70), 0.4, rng)
+        # the largest order with a one-byte header and the smallest with four
+        yield random_graph(62, 0.5, rng)
+        yield random_graph(63, 0.5, rng)
 
     def test_round_trip(self):
-        for g in self.graphs():
+        for g in [*self.graphs(), dense_random_graph(4096, 53)]:
             assert from_graph6(to_graph6(g)) == g
+
+    def test_against_reference_loops(self):
+        corpus = list(self.graphs())
+        for g in corpus + [complement(g) for g in corpus] + [dense_random_graph(4096, 53)]:
+            text = to_graph6(g)
+            assert text == reference_to_graph6(g)
+            assert from_graph6(text).rows == reference_from_graph6(text)
+            assert complement(g).rows == reference_complement(g)
+
+    def test_relabel_against_reference_loop(self):
+        rng = random.Random(59)
+        corpus = list(self.graphs())
+        for g in corpus + [complement(g) for g in corpus]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert g.relabel(perm).rows == reference_relabel(g, perm)
 
     def test_against_networkx(self):
         for g in self.graphs():
@@ -668,7 +800,7 @@ class TestGraph6:
             } or set(back.edges()) == set(map(tuple, map(sorted, g.edges())))
 
     def test_large_n_header(self):
-        g = DenseGraph([0] * 100)
+        g = empty(100)
         s = to_graph6(g)
         assert s[0] == "~"
         assert from_graph6(s).n == 100
@@ -678,6 +810,9 @@ class TestGraph6:
             from_graph6("")
         with pytest.raises(ValueError):
             from_graph6("D")  # truncated body for n=5
+        for bad in (">", "\x7f", "\u00e9"):  # outside 63..126
+            with pytest.raises(ValueError, match=re.escape(f"invalid graph6 byte {bad!r}")):
+                from_graph6("D?" + bad)
 
 
 class TestEdgeList:

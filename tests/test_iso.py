@@ -86,7 +86,7 @@ def corpus(rng):
         path(5),
         cycle(6),
         path(4),
-        DenseGraph([0] * 4),
+        DenseGraph(np.zeros((4, 4), dtype=np.uint8)),
         DenseGraph.from_edges(4, [(0, 1), (2, 3)]),
     ]
     for n in (5, 6, 7, 8, 9, 10, 11, 12):
@@ -208,7 +208,7 @@ class TestFingerprint:
         assert all(len(prof) == 3 for prof in fp.distance_distribution)
 
     def test_disconnected_profile(self):
-        fp = fingerprint(DenseGraph([0, 0]))
+        fp = fingerprint(DenseGraph(np.zeros((2, 2), dtype=np.uint8)))
         assert fp.distance_distribution == ((1, 1), (1, 1))
 
     def test_decision_stops_at_first_differing_field(self, monkeypatch):
