@@ -3,14 +3,14 @@
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
 kernels work on it directly: the SRG check and the distance layers (float32
 products of a block of 0/1 rows with the adjacency), the per-edge
-common-neighbourhood pass (one float32 product per vertex), the odd-p ranks
-(lazily reduced elimination in int32 or int64), color refinement and the
-graph6 format.  The float32 products are exact because every value they form
-is an integer below 2^24.  Where a kernel needs them, the rows are also
-packed into Python ints, once per graph: the GF(2) rank is an XOR basis of
-those bit rows, a BFS ORs them (the distances of graphs with a large
-eccentricity), and the deep refinement counts edges inside bitmasks.  Every
-result is exact; there is no floating-point spectral computation.
+common-neighbourhood pass (one float32 product per vertex), the edge counts
+of the deep color refinement (one float32 product per color class), the
+odd-p ranks (lazily reduced elimination in int32 or int64) and the graph6
+format.  The float32 products are exact because every value they form is an
+integer below 2^24.  Where a kernel needs them, the rows are also packed into
+Python ints, once per graph: the GF(2) rank is an XOR basis of those bit
+rows, and a BFS ORs them (the distances of graphs with a large eccentricity).
+Every result is exact; there is no floating-point spectral computation.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class DenseGraph:
     @property
     def rows(self) -> tuple[int, ...]:
         """Row i packed into a Python int, the neighbour bitmask of vertex i,
-        for the XOR-basis, BFS and edges-inside-a-mask kernels; packed once
-        per graph."""
+        for the XOR-basis and BFS kernels; packed once per graph."""
         return self._memo(_pack_rows)
 
     def degree(self, u: int) -> int:
@@ -153,24 +152,23 @@ def _bits(mask: int):
         mask ^= lsb
 
 
-def _edges_inside(rows: Sequence[int], mask: int) -> int:
-    """e(G[mask]): one AND+popcount per vertex of mask sees every edge twice."""
-    twice = 0
-    for w in _bits(mask):
-        twice += (rows[w] & mask).bit_count()
-    return twice // 2
+def class_edge_counts(A: np.ndarray, colors: np.ndarray, k: int) -> np.ndarray:
+    """out[v, c] = e(G[N(v) & X_c]), where A is the float32 adjacency of G and
+    X_c holds the vertices of color c (0 <= c < k): the edges inside each
+    color class of each neighbourhood.
 
-
-def class_edge_counts(graph: DenseGraph, colors: np.ndarray, k: int) -> np.ndarray:
-    """out[v, c] = e(G[N(v) & X_c]), where X_c holds the vertices of color c
-    (0 <= c < k): the edges inside each color class of each neighbourhood."""
-    masks = [0] * k
-    for v, c in enumerate(colors.tolist()):
-        masks[c] |= 1 << v
-    rows = graph.rows
-    return np.array(
-        [[_edges_inside(rows, row & mask) for mask in masks] for row in rows], dtype=np.int64
-    )
+    One product per class: with B = A[:, X_c], row v of (B @ A[X_c, X_c]) * B
+    sums to twice e(G[N(v) & X_c]), as diag(B^3) does in
+    _common_neighborhood_pass, and is exact for the same reason.
+    """
+    out = np.empty((A.shape[0], k), dtype=np.int64)
+    for c in range(k):
+        X = np.flatnonzero(colors == c)
+        B = A[:, X]
+        out[:, c] = ((B @ A[np.ix_(X, X)]) * B).sum(axis=1, dtype=np.int64)
+    if (out & 1).any():
+        raise SelfCheckError("an edge count inside a color class was seen an odd number of times")
+    return out // 2
 
 
 # --- structural parameters ----------------------------------------------------
@@ -423,19 +421,22 @@ def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, 
 
 def sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     """Per source vertex, the sizes of its distance spheres (sphere 0 first),
-    from one all-source pass of the distance kernel per graph."""
+    from one all-source pass of the distance kernel per graph.  Sources with
+    the same sizes share one tuple, so a vertex-transitive graph keeps one."""
     return graph._memo(_sphere_sizes)
 
 
 def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     out = []
+    shared: dict = {}
     for _sources, dist in _distance_blocks(graph):
         # one bincount: row j of dist counts into bins j * (n + 1) + (dist + 1)
         width = graph.n + 1
         offsets = width * np.arange(len(dist))[:, None]
         counts = np.bincount((dist + 1 + offsets).ravel(), minlength=width * len(dist))
         counts = counts.reshape(len(dist), width)[:, 1 : int(dist.max()) + 2]
-        out.extend(tuple(c for c in row if c) for row in counts.tolist())
+        sizes = (tuple(c for c in row if c) for row in counts.tolist())
+        out.extend(shared.setdefault(t, t) for t in sizes)
     return tuple(out)
 
 

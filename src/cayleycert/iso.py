@@ -265,18 +265,17 @@ def selfcomp_by_group_automorphism(
 def _refine_pair(
     A1: np.ndarray,
     A2: np.ndarray,
-    g1: DenseGraph,
-    g2: DenseGraph,
     c1: np.ndarray,
     c2: np.ndarray,
     deep: bool,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Aligned iterated refinement of both colorings; None, None on conflict.
 
-    Basic step: counts of neighbors in every color class (neighbor-color
-    multisets).  When stable and still coarse, the optional deep step refines
-    by the edge count inside N(v) restricted to each class, which separates
-    vertices of strongly regular graphs that the counting step cannot.
+    A1 and A2 are the float32 adjacency matrices.  Basic step: counts of
+    neighbors in every color class (neighbor-color multisets).  When stable
+    and still coarse, the optional deep step refines by the edge count inside
+    N(v) restricted to each class, which separates vertices of strongly
+    regular graphs that the counting step cannot.
     """
     n = A1.shape[0]
     ncolors = -1
@@ -284,49 +283,53 @@ def _refine_pair(
         # basic rounds until the color count stops growing
         while True:
             k = int(max(c1.max(initial=0), c2.max(initial=0))) + 1
-            onehot1 = np.zeros((n, k))
-            onehot1[np.arange(n), c1] = 1.0
-            onehot2 = np.zeros((n, k))
-            onehot2[np.arange(n), c2] = 1.0
-            sig1 = np.column_stack([c1.astype(float), A1 @ onehot1])
-            sig2 = np.column_stack([c2.astype(float), A2 @ onehot2])
-            uniq, inverse = np.unique(
-                np.vstack([sig1, sig2]), axis=0, return_inverse=True
-            )
-            new1 = inverse[:n].astype(np.int64)
-            new2 = inverse[n:].astype(np.int64)
-            if not np.array_equal(
-                np.bincount(new1, minlength=len(uniq)),
-                np.bincount(new2, minlength=len(uniq)),
-            ):
+            split = _split(_neighbor_counts, A1, A2, c1, c2, k)
+            if split is None:
                 return None, None
-            c1, c2 = new1, new2
-            if len(uniq) == ncolors:
+            c1, c2, count = split
+            if count == ncolors:
                 break
-            ncolors = len(uniq)
+            ncolors = count
             if ncolors == n:
                 return c1, c2
         if not deep or ncolors > DEEP_REFINE_CELL_CAP:
             return c1, c2
-        d1 = _deep_signature(g1, c1, ncolors)
-        d2 = _deep_signature(g2, c2, ncolors)
-        uniq, inverse = np.unique(np.vstack([d1, d2]), axis=0, return_inverse=True)
-        new1 = inverse[:n].astype(np.int64)
-        new2 = inverse[n:].astype(np.int64)
-        if not np.array_equal(
-            np.bincount(new1, minlength=len(uniq)),
-            np.bincount(new2, minlength=len(uniq)),
-        ):
+        split = _split(class_edge_counts, A1, A2, c1, c2, ncolors)
+        if split is None:
             return None, None
-        if len(uniq) == ncolors:
+        if split[2] == ncolors:
             return c1, c2  # deep step split nothing; stable
-        c1, c2 = new1, new2
-        ncolors = len(uniq)
+        c1, c2, ncolors = split
 
 
-def _deep_signature(g: DenseGraph, colors: np.ndarray, k: int) -> np.ndarray:
-    """Rows (color(v), e(G[N(v) & X_0]), ..., e(G[N(v) & X_{k-1}]))."""
-    return np.column_stack([colors, class_edge_counts(g, colors, k)])
+def _neighbor_counts(A: np.ndarray, colors: np.ndarray, k: int) -> np.ndarray:
+    """out[v, c] = |N(v) & X_c|: one float32 product with the color indicator
+    matrix, exact since every count is at most n < 2^24."""
+    return A @ np.eye(k, dtype=np.float32)[colors]
+
+
+def _split(counts, A1, A2, c1, c2, k) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+    """Recolor both sides by the rank of each signature row (color(v),
+    counts(A, colors, k)[v]) among the rows of both sides: (colors 1,
+    colors 2, color count), or None when a color class has different sizes
+    on the two sides, so that no bijection respects the colorings."""
+    n = len(c1)
+    rows = np.vstack([counts(A1, c1, k), counts(A2, c2, k)])
+    rows = np.column_stack([np.concatenate([c1, c2]), rows])
+    keys, inverse = np.unique(_row_keys(rows), return_inverse=True)
+    new1, new2, m = inverse[:n], inverse[n:], len(keys)
+    if not np.array_equal(np.bincount(new1, minlength=m), np.bincount(new2, minlength=m)):
+        return None
+    return new1, new2, m
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte key per row of a matrix of integers in [0, 2^32):
+    the row as big-endian uint32.  numpy sorts such keys in memcmp order, the
+    rows' lexicographic order, so np.unique ranks the keys as
+    np.unique(rows, axis=0) ranks the rows, without its generic row sort."""
+    be = np.ascontiguousarray(rows, dtype=">u4")
+    return be.view(np.dtype((np.void, 4 * be.shape[1])))[:, 0]
 
 
 # --- individualization-refinement search ----------------------------------------------
@@ -374,11 +377,9 @@ def _ir_search(
     lexicographically first successful branch.
     """
     n = g1.n
-    if sys.getrecursionlimit() < 3 * n + 200:
-        sys.setrecursionlimit(3 * n + 200)
-    A1 = g1.adjacency().astype(np.float64)
-    A2 = g2.adjacency().astype(np.float64)
-    c1, c2 = _refine_pair(A1, A2, g1, g2, np.zeros(n, np.int64), np.zeros(n, np.int64), deep)
+    A1 = g1.adjacency().astype(np.float32)
+    A2 = g2.adjacency().astype(np.float32)
+    c1, c2 = _refine_pair(A1, A2, np.zeros(n, np.int64), np.zeros(n, np.int64), deep)
     if c1 is None:
         return None
 
@@ -407,7 +408,7 @@ def _ir_search(
             t2 = c2.copy()
             t1[v] = fresh
             t2[u] = fresh
-            r1, r2 = _refine_pair(A1, A2, g1, g2, t1, t2, deep)
+            r1, r2 = _refine_pair(A1, A2, t1, t2, deep)
             if r1 is None:
                 continue
             got = descend(r1, r2, depth + 1)
@@ -415,7 +416,12 @@ def _ir_search(
                 return got
         return None
 
-    return descend(c1, c2, 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * n + 200))
+    try:
+        return descend(c1, c2, 0)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- the deciders -------------------------------------------------------------------

@@ -5,17 +5,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cayleycert import cli
 from cayleycert.cli import CLAIMS, main
-from cayleycert.cayley import connection_set_from_text
+from cayleycert.cayley import build_cayley, connection_set_from_text, lex_product
+from cayleycert.families import davis, paley
 from cayleycert.graphs import DenseGraph, from_graph6, to_graph6
 
 
 #: Outputs recorded before the claim and check tables replaced the CLI's
 #: if-chains; the tables must reproduce them byte for byte.
 DATA = Path(__file__).parent / "data"
+
+
+#: Seeded relabellings whose verify --selfcomp output was recorded before the
+#: colour refinement moved to byte keys and float32 products.
+SEARCH_GOLDEN = {
+    "P9xP13": (lambda: lex_product(paley(9).connection_set, paley(13).connection_set), 91),
+    "P13xP9": (lambda: lex_product(paley(13).connection_set, paley(9).connection_set), 92),
+    "paley169": (lambda: paley(169).connection_set, 93),
+    "davis3": (lambda: davis(3).connection_set, 94),
+}
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +204,19 @@ class TestVerify:
         )
         assert code == 0
         assert out == (DATA / "verify_davis3_all_checks.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
+    def test_selfcomp_search_golden(self, capsys, monkeypatch, tmp_path, name):
+        """verify --selfcomp on a relabelled graph6 file, where only the search
+        certifies: every bijection and search_nodes value is pinned."""
+        conn, seed = SEARCH_GOLDEN[name]
+        g = build_cayley(conn())
+        g = g.relabel(np.random.default_rng(seed).permutation(g.n))
+        (tmp_path / f"{name}.g6").write_text(to_graph6(g) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "verify", f"{name}.g6", "--selfcomp")
+        assert code == 0
+        assert out == (DATA / f"verify_selfcomp_{name}.json").read_text()
 
     def test_edge_list_input(self, capsys, tmp_path):
         p = tmp_path / "p4.txt"

@@ -26,9 +26,9 @@ from cayleycert.graphs import (
     SelfCheckError,
     SrgParams,
     SrgResult,
-    _edges_inside,
     check_adjacency_identity,
     check_srg,
+    class_edge_counts,
     complement,
     diameter,
     edge_neighborhood_edge_profile,
@@ -38,6 +38,7 @@ from cayleycert.graphs import (
     invariant_counts,
     is_connected,
     mod_p_rank,
+    sphere_sizes,
     to_edge_list,
     to_graph6,
 )
@@ -175,6 +176,12 @@ class TestDiameter:
         assert diameter(empty(2)) is None  # two isolated vertices
         assert diameter(cycle(6)) == 3
         assert diameter(empty(1)) == 0
+
+    def test_circulant_memo_holds_one_tuple(self):
+        spheres = sphere_sizes(cycle(301))
+        assert len(spheres) == 301
+        assert len({id(sizes) for sizes in spheres}) == 1
+        assert spheres[0] == (1,) + (2,) * 150
 
     def test_connectivity(self):
         assert is_connected(cycle(7))
@@ -336,6 +343,24 @@ def brute_four_cliques(g):
     return total
 
 
+def _edges_inside(rows, mask):
+    """e(G[mask]) from bit rows: one AND+popcount per vertex of mask sees
+    every edge twice.  The reference for the product kernels."""
+    twice = 0
+    for w in range(mask.bit_length()):
+        if mask >> w & 1:
+            twice += (rows[w] & mask).bit_count()
+    return twice // 2
+
+
+def reference_class_edge_counts(g, colors, k):
+    """The bit-row loop class_edge_counts replaced."""
+    masks = [0] * k
+    for v, c in enumerate(colors.tolist()):
+        masks[c] |= 1 << v
+    return [[_edges_inside(g.rows, row & mask) for mask in masks] for row in g.rows]
+
+
 class TestEdgesInsideKernel:
     """The one edge-counting kernel and its projections against itertools."""
 
@@ -367,6 +392,22 @@ class TestEdgesInsideKernel:
         monkeypatch.setattr(SrgParams, "count_identity_holds", lambda self: False)
         with pytest.raises(SelfCheckError):
             check_srg(g)
+
+
+class TestClassEdgeCounts:
+    def corpus(self):
+        rng = random.Random(41)
+        out = [random_graph(rng.randrange(1, 41), rng.random(), rng) for _ in range(15)]
+        out += [paley_graph(13), build_cayley(davis(3).connection_set)]
+        return out + [complement(g) for g in out]
+
+    def test_against_bit_rows(self):
+        rng = np.random.default_rng(43)
+        for g in self.corpus():
+            for k in (1, 2, 5, g.n):
+                colors = rng.integers(0, k, size=g.n)
+                got = class_edge_counts(g.adjacency().astype(np.float32), colors, k)
+                assert got.tolist() == reference_class_edge_counts(g, colors, k)
 
 
 def reference_pass(g):

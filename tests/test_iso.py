@@ -17,12 +17,13 @@ from cayleycert.cayley import (
     validate_connection_set,
 )
 from cayleycert.families import davis, paley, peisert
-from cayleycert.graphs import DenseGraph, SelfCheckError, check_srg, complement
+from cayleycert.graphs import DenseGraph, SelfCheckError, check_srg, class_edge_counts, complement
 from cayleycert.groups import AbelianGroup, GroupAutomorphism
 from test_groups import random_non_selfcomplementary_set, reference_automorphism_batches
 from cayleycert.iso import (
     IsoCertificate,
-    _deep_signature,
+    _refine_pair,
+    _row_keys,
     are_isomorphic,
     fingerprint,
     is_self_complementary,
@@ -245,20 +246,16 @@ class TestFingerprint:
 
 class TestRefinementInvariance:
     def test_stable_color_class_sizes_invariant(self):
-        from cayleycert.iso import _refine_pair
-        import numpy as np
-
         rng = random.Random(109)
-        for _ in range(5):
+        for deep in [False] * 5 + [True] * 5:
             g = random_graph(rng.randrange(5, 11), 0.5, rng)
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = g.relabel(perm)
-            A1 = g.adjacency().astype(float)
-            A2 = h.adjacency().astype(float)
-            c1, c2 = _refine_pair(
-                A1, A2, g, h, np.zeros(g.n, np.int64), np.zeros(g.n, np.int64), False
-            )
+            # float32 adjacency matrices, as the search passes them
+            A1 = g.adjacency().astype(np.float32)
+            A2 = h.adjacency().astype(np.float32)
+            c1, c2 = _refine_pair(A1, A2, np.zeros(g.n, np.int64), np.zeros(g.n, np.int64), deep)
             assert c1 is not None
             # same multiset of stable color class sizes on both sides
             assert sorted(np.bincount(c1)) == sorted(np.bincount(c2))
@@ -273,9 +270,9 @@ class TestDeepSignature:
             g = random_graph(rng.randrange(2, 12), 0.5, rng)
             k = rng.randrange(1, 5)
             colors = np.array([rng.randrange(k) for _ in range(g.n)], dtype=np.int64)
-            sig = _deep_signature(g, colors, k)
+            sig = class_edge_counts(g.adjacency().astype(np.float32), colors, k)
             for v in range(g.n):
-                want = [int(colors[v])] + [
+                want = [
                     sum(
                         1
                         for a, b in itertools.combinations(range(g.n), 2)
@@ -285,6 +282,46 @@ class TestDeepSignature:
                     for c in range(k)
                 ]
                 assert sig[v].tolist() == want
+
+
+class TestRowKeys:
+    """The byte keys rank rows exactly as np.unique(rows, axis=0) does."""
+
+    def matrices(self):
+        rng = np.random.default_rng(127)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            width = int(rng.integers(1, 2 * n + 1))
+            top = int(rng.choice([2, n + 1, 2**16, 2**24 + 1]))
+            M = rng.integers(0, top, size=(n, width), dtype=np.int64)
+            M[:, width - int(rng.integers(0, width)) :] = 0  # trailing zero columns
+            M = M[rng.integers(0, n, size=2 * n)]  # duplicated rows
+            yield M
+
+    def test_ranks_equal_unique_rows(self):
+        for M in self.matrices():
+            uniq, inverse = np.unique(M, axis=0, return_inverse=True)
+            keys, key_inverse = np.unique(_row_keys(M), return_inverse=True)
+            assert len(keys) == len(uniq)
+            assert np.array_equal(key_inverse.ravel(), inverse.ravel())
+
+    def test_largest_entries(self):
+        M = np.array([[2**32 - 1, 0], [2**24, 2**31], [2**24, 2**31 - 1], [0, 2**32 - 1]])
+        _, inverse = np.unique(_row_keys(M), return_inverse=True)
+        assert inverse.tolist() == [3, 2, 1, 0]
+
+
+class TestRecursionLimit:
+    def test_search_restores_the_limit(self):
+        rng = random.Random(131)
+        g = random_graph(300, 0.5, rng)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        before = sys.getrecursionlimit()
+        assert before < 3 * g.n + 200  # the search raises it
+        decision = are_isomorphic(g, g.relabel(perm), force_search=True)
+        assert decision.isomorphic
+        assert sys.getrecursionlimit() == before
 
 
 class TestGroupAutomorphismCertificates:
