@@ -1,15 +1,16 @@
 """Dense undirected simple graphs with exact structural certification.
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
-kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency), the per-edge
-common-neighbourhood pass (one float32 product per vertex), the edge counts
-of the deep color refinement (one float32 product per color class), the
-odd-p ranks (lazily reduced elimination in int32 or int64) and the graph6
-format.  The float32 products are exact because every value they form is an
-integer below 2^24.  Where a kernel needs them, the rows are also packed into
-Python ints, once per graph: the GF(2) rank is an XOR basis of those bit
-rows, and a BFS ORs them (the distances of graphs with a large eccentricity).
+kernels work on it directly: the SRG check, the triangle count and the
+distance layers (float32 products of a block of 0/1 rows with the
+adjacency), the per-edge common-neighbourhood pass (one float32 product per
+vertex), the edge counts of the deep color refinement (one float32 product
+per color class), the odd-p ranks (lazily reduced elimination in int32 or
+int64) and the graph6 format.  The float32 products are exact because every
+value they form is an integer below 2^24.  Where a kernel needs them, the
+rows are also packed into Python ints, once per graph: the GF(2) rank is an
+XOR basis of those bit rows, and a BFS ORs them (the distances of graphs
+with a large eccentricity).
 Every result is exact; there is no floating-point spectral computation.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 #: The desk-scale budget: the largest graph, group or field order built.
 MAX_ORDER = 4096
 
-#: Rows per float32 product in the SRG and distance-layer kernels.
+#: Rows per float32 product in the SRG, triangle-count and distance-layer kernels.
 ROW_BLOCK = 256
 
 #: The largest n * (eccentricity of vertex 0) for which distances come from
@@ -572,6 +573,29 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
                 None, f"c_{i} not constant", (s, x, cs[i - 1], int(below[j, x]))
             )
     return DistanceRegularResult(IntersectionArray(tuple(bs), tuple(cs)))
+
+
+def triangle_count(graph: DenseGraph) -> int:
+    """Exact triangle count without the per-edge pass, once per graph: n k
+    lam / 6 from the memoised check_srg when the graph is strongly regular,
+    else trace(A^3) / 6 from row-block float32 products A[rows] @ A, exact as
+    in _check_srg, whose elementwise product with A[rows] is summed in int64."""
+    return graph._memo(_triangle_count)
+
+
+def _triangle_count(graph: DenseGraph) -> int:
+    srg = check_srg(graph)
+    if srg.is_srg:
+        n, k, lam, _mu = srg.params.as_tuple()
+        return n * k * lam // 6
+    A = graph.adjacency().astype(np.float32)
+    trace = 0
+    for start in range(0, graph.n, ROW_BLOCK):
+        rows = A[start : start + ROW_BLOCK]
+        trace += int(((rows @ A) * rows).sum(dtype=np.int64))
+    if trace % 6:
+        raise SelfCheckError(f"trace(A^3) = {trace} is not a multiple of 6")
+    return trace // 6
 
 
 def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:

@@ -2,13 +2,22 @@
 
 Decision pipeline, cheapest sound step first:
 
-  1. group-automorphism certificate scan (Cayley inputs only): find sigma
-     with sigma(S) = complement set; absence is inconclusive, never negative.
-  2. invariant screens: the pinned fingerprint fields, each computed only
-     while the ones before it agree, then for same-parameter strongly
-     regular pairs a spectral mod-p rank screen and the edge-neighborhood
-     edge-count profile.  A mismatch refutes.
-  3. individualization-refinement backtracking search: complete decider,
+  1. scan: the group-automorphism certificate scan (Cayley inputs only):
+     find sigma with sigma(S) = complement set; absence is inconclusive,
+     never negative.
+  2. cheap fields: the fingerprint fields n, degrees, srg and triangles
+     (from the SRG parameters or one trace(A^3) product).  A mismatch
+     refutes.
+  3. probe: the individualization-refinement search capped at PROBE_NODES
+     nodes.  The search is a deterministic depth-first search that no screen
+     changes, so a bijection it finds is the one the full search would
+     return; a probe that exhausts or reaches its cap reports nothing.
+  4. costly screens: the remaining fingerprint fields (4-cliques, mod-p
+     ranks, distance distribution), each computed only while the ones before
+     it agree, then for same-parameter strongly regular pairs a spectral
+     mod-p rank screen and the edge-neighborhood edge-count profile.  A
+     mismatch refutes.
+  5. search: the same search without the cap, a complete decider that
      returns an explicit vertex bijection or exhausts the tree.
 
 Every positive answer is re-validated against the adjacency matrices before
@@ -31,6 +40,7 @@ from .graphs import (
     DenseGraph,
     SelfCheckError,
     SrgParams,
+    SrgResult,
     check_srg,
     class_edge_counts,
     complement,
@@ -39,6 +49,7 @@ from .graphs import (
     is_permutation,
     mod_p_rank,
     sphere_sizes,
+    triangle_count,
 )
 from .groups import AutEnumerationError, GroupAutomorphism, _automorphism_batches
 
@@ -46,6 +57,9 @@ FINGERPRINT_PRIMES = (2, 3, 5, 7)
 DEFAULT_NODE_BUDGET = 10**8
 #: Deep (edge-count-within-cell) refinement triggers only below this cell count.
 DEEP_REFINE_CELL_CAP = 32
+#: Node cap of the probe search that runs before the costly screens: the
+#: largest search on the self-complementary families takes 39 nodes (P13[P9]).
+PROBE_NODES = 64
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -160,13 +174,24 @@ def _distance_distribution(graph: DenseGraph) -> tuple:
     )
 
 
+def _four_cliques(graph: DenseGraph) -> int:
+    """The 4-clique count of the per-edge pass, whose triangle count must
+    equal triangle_count's."""
+    triangles, four_cliques, _degrees = invariant_counts(graph)
+    if triangles != triangle_count(graph):
+        raise SelfCheckError(
+            f"{triangles} triangles by the per-edge pass, {triangle_count(graph)} by product"
+        )
+    return four_cliques
+
+
 #: How each field of Fingerprint.FIELDS is computed from one graph.
 _FIELD_VALUES = {
     "n": lambda g: g.n,
     "degrees": lambda g: tuple(sorted(g.degrees())),
     "srg": _srg_params,
-    "triangles": lambda g: invariant_counts(g)[0],
-    "four_cliques": lambda g: invariant_counts(g)[1],
+    "triangles": triangle_count,
+    "four_cliques": _four_cliques,
     "mod_ranks": _mod_ranks,
     "distance_distribution": _distance_distribution,
 }
@@ -176,17 +201,9 @@ def fingerprint(graph: DenseGraph) -> Fingerprint:
     return Fingerprint(**{name: _FIELD_VALUES[name](graph) for name in Fingerprint.FIELDS})
 
 
-def _first_fingerprint_difference(
-    g1: DenseGraph, g2: DenseGraph
-) -> Optional[tuple[str, tuple]]:
-    """The first field of Fingerprint.FIELDS on which the graphs differ, with
-    both values; each field is computed only after the ones before it agree."""
-    for name in Fingerprint.FIELDS:
-        value = _FIELD_VALUES[name]
-        a, b = value(g1), value(g2)
-        if a != b:
-            return name, (a, b)
-    return None
+#: The fields computed before the probe search and those left to the screens.
+_CHEAP_FIELDS = ("n", "degrees", "srg", "triangles")
+_COSTLY_FIELDS = Fingerprint.FIELDS[len(_CHEAP_FIELDS) :]
 
 
 # --- certificate checking ----------------------------------------------------------
@@ -449,9 +466,17 @@ def _verified_orbit_minima(g2: DenseGraph, aut_perms: Iterable[Sequence[int]]) -
     return {v for v in range(n) if find(v) == v}
 
 
+def _refutation(invariant: str, values: tuple, decided_by: str) -> IsoDecision:
+    return IsoDecision(
+        False,
+        IsoCertificate(kind="invariant-refutation", invariant=invariant, values=values),
+        decided_by,
+    )
+
+
 def _spectral_rank_screen(
     g1: DenseGraph, g2: DenseGraph, params: SrgParams
-) -> Optional[tuple[str, tuple[int, int]]]:
+) -> Optional[IsoDecision]:
     """mod_p_rank(A - s*I) for primes p dividing r - s (square-discriminant SRGs)."""
     pair = params.eigenvalues().integer_pair
     if pair is None:
@@ -463,68 +488,47 @@ def _spectral_rank_screen(
         r1 = mod_p_rank(g1, p, shift)
         r2 = mod_p_rank(g2, p, shift)
         if r1 != r2:
-            return f"mod_{p}_rank(A+{shift}I)", (r1, r2)
+            return _refutation(f"mod_{p}_rank(A+{shift}I)", (r1, r2), "spectral rank screen")
     return None
 
 
-def are_isomorphic(
-    g1: DenseGraph,
-    g2: DenseGraph,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    time_budget: Optional[float] = None,
-    aut_perms: Optional[list] = None,
-    force_search: bool = False,
-    deep_refinement: Optional[bool] = None,
-) -> IsoDecision:
-    """Complete isomorphism decider with certificates.
+def _fingerprint_screen(
+    g1: DenseGraph, g2: DenseGraph, fields: Sequence[str]
+) -> Optional[IsoDecision]:
+    """Refute at the first of these fingerprint fields on which the graphs
+    differ; each field is computed only after the ones before it agree."""
+    for name in fields:
+        a, b = _FIELD_VALUES[name](g1), _FIELD_VALUES[name](g2)
+        if a != b:
+            return _refutation(name, (a, b), "fingerprint")
+    return None
 
-    aut_perms: optional known automorphisms of g2 (verified before use) that
-    collapse the root branching to orbit representatives.  force_search skips
-    the invariant screens (test mode).  deep_refinement defaults to on when
-    both graphs are strongly regular.
-    """
-    if g1.n != g2.n:
-        return IsoDecision(
-            False,
-            IsoCertificate(
-                kind="invariant-refutation", invariant="vertex-count", values=(g1.n, g2.n)
-            ),
-            "vertex count",
-        )
-    srg1 = check_srg(g1)
-    if not force_search:
-        diff = _first_fingerprint_difference(g1, g2)
-        if diff is not None:
-            name, values = diff
-            return IsoDecision(
-                False,
-                IsoCertificate(kind="invariant-refutation", invariant=name, values=values),
-                "fingerprint",
-            )
-        if srg1.is_srg:
-            hit = _spectral_rank_screen(g1, g2, srg1.params)
-            if hit is not None:
-                name, values = hit
-                return IsoDecision(
-                    False,
-                    IsoCertificate(kind="invariant-refutation", invariant=name, values=values),
-                    "spectral rank screen",
-                )
+
+def _costly_screens(g1: DenseGraph, g2: DenseGraph, srg1: SrgResult) -> Optional[IsoDecision]:
+    """The O(n^3) screens in order: the costly fingerprint fields, the
+    spectral rank screen (strongly regular pairs) and the edge profile."""
+    refuted = _fingerprint_screen(g1, g2, _COSTLY_FIELDS)
+    if refuted is None and srg1.is_srg:
+        refuted = _spectral_rank_screen(g1, g2, srg1.params)
+    if refuted is None:
         prof1 = edge_neighborhood_edge_profile(g1)
         prof2 = edge_neighborhood_edge_profile(g2)
         if prof1 != prof2:
-            return IsoDecision(
-                False,
-                IsoCertificate(
-                    kind="invariant-refutation",
-                    invariant="edge-neighborhood-edge-profile",
-                    values=(prof1, prof2),
-                ),
-                "edge profile screen",
-            )
-    root = _verified_orbit_minima(g2, aut_perms) if aut_perms is not None else None
-    deep = deep_refinement if deep_refinement is not None else srg1.is_srg
+            invariant = "edge-neighborhood-edge-profile"
+            refuted = _refutation(invariant, (prof1, prof2), "edge profile screen")
+    return refuted
+
+
+def _search(
+    g1: DenseGraph,
+    g2: DenseGraph,
+    node_budget: int,
+    time_budget: Optional[float],
+    root: Optional[set[int]],
+    deep: bool,
+) -> IsoDecision:
+    """The IR search within its budgets, as a decision; the time budget runs
+    from the start of this search."""
     stats = _SearchStats()
     try:
         perm = _ir_search(g1, g2, node_budget, time_budget, root, deep, stats)
@@ -547,6 +551,42 @@ def are_isomorphic(
         IsoCertificate(kind="vertex-bijection", permutation=tuple(perm), nodes=stats.nodes),
         "individualization-refinement search",
     )
+
+
+def are_isomorphic(
+    g1: DenseGraph,
+    g2: DenseGraph,
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    time_budget: Optional[float] = None,
+    aut_perms: Optional[list] = None,
+    force_search: bool = False,
+    deep_refinement: Optional[bool] = None,
+) -> IsoDecision:
+    """Complete isomorphism decider with certificates.
+
+    aut_perms: optional known automorphisms of g2, verified (ValueError when
+    one is not) before any screen, that collapse the root branching to orbit
+    representatives.  force_search skips the invariant screens and the probe
+    (test mode).  deep_refinement defaults to on when g1 is strongly regular.
+    node_budget and time_budget bound the probe and then the full search.
+    """
+    if g1.n != g2.n:
+        return _refutation("vertex-count", (g1.n, g2.n), "vertex count")
+    root = _verified_orbit_minima(g2, aut_perms) if aut_perms is not None else None
+    srg1 = check_srg(g1)
+    deep = deep_refinement if deep_refinement is not None else srg1.is_srg
+    if not force_search:
+        refuted = _fingerprint_screen(g1, g2, _CHEAP_FIELDS)
+        if refuted is not None:
+            return refuted
+        probe = _search(g1, g2, min(node_budget, PROBE_NODES), time_budget, root, deep)
+        if probe.isomorphic:
+            return probe
+        refuted = _costly_screens(g1, g2, srg1)
+        if refuted is not None:
+            return refuted
+    return _search(g1, g2, node_budget, time_budget, root, deep)
 
 
 def is_self_complementary(
@@ -603,11 +643,10 @@ def is_self_complementary(
         # every Cayley graph over the group; the search re-verifies them.
         add = hint.group.add_table
         aut_perms = [add[int(w)] for w in hint.group.index_weights]
-    decision = are_isomorphic(
+    return are_isomorphic(
         graph,
         comp,
         node_budget=node_budget,
         time_budget=time_budget,
         aut_perms=aut_perms,
     )
-    return decision

@@ -21,12 +21,14 @@ DATA = Path(__file__).parent / "data"
 
 
 #: Seeded relabellings whose verify --selfcomp output was recorded before the
-#: colour refinement moved to byte keys and float32 products.
+#: colour refinement moved to byte keys and float32 products, and for
+#: paley(841) before the probe search came ahead of the costly screens.
 SEARCH_GOLDEN = {
     "P9xP13": (lambda: lex_product(paley(9).connection_set, paley(13).connection_set), 91),
     "P13xP9": (lambda: lex_product(paley(13).connection_set, paley(9).connection_set), 92),
     "paley169": (lambda: paley(169).connection_set, 93),
     "davis3": (lambda: davis(3).connection_set, 94),
+    "paley841": (lambda: paley(841).connection_set, 95),
 }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
-from cayleycert.families import davis, paley
+from cayleycert.families import davis, paley, peisert
 from cayleycert.groups import AbelianGroup
 from cayleycert import graphs
 from cayleycert.graphs import (
@@ -41,6 +41,7 @@ from cayleycert.graphs import (
     sphere_sizes,
     to_edge_list,
     to_graph6,
+    triangle_count,
 )
 
 
@@ -318,6 +319,42 @@ class TestInvariantCounts:
         profile = edge_neighborhood_edge_profile(g)
         _, quad, _ = invariant_counts(g)
         assert sum(v * c for v, c in profile) == 6 * quad
+
+
+class TestTriangleCount:
+    """The SRG-parameter and trace(A^3) counts against the per-edge pass."""
+
+    def corpus(self):
+        rng = random.Random(29)
+        out = [random_graph(rng.randrange(2, 120), rng.random(), rng) for _ in range(8)]
+        out.append(random_graph(graphs.ROW_BLOCK + 45, 0.3, rng))  # two row blocks
+        part = random_graph(40, 0.5, rng)
+        out.append(DenseGraph(np.pad(part.adjacency(), (0, 15))))  # 15 more, all isolated
+        out += [empty(1), complete(2), complete(30), empty(12)]
+        srgs = [paley_graph(q) for q in (13, 49, 81)]
+        srgs += [build_cayley(peisert(49).connection_set), build_cayley(davis(3).connection_set)]
+        return out + [complement(g) for g in out], srgs + [complement(g) for g in srgs]
+
+    def test_against_the_per_edge_pass(self):
+        others, srgs = self.corpus()
+        for g in others + srgs:
+            assert triangle_count(g) == invariant_counts(g)[0]
+        assert all(check_srg(g).is_srg for g in srgs)
+
+    def test_product_path_on_srgs(self, monkeypatch):
+        _, srgs = self.corpus()
+        want = [triangle_count(g) for g in srgs]
+        monkeypatch.setattr(graphs, "check_srg", lambda g: SrgResult(None, "forced", None))
+        assert [graphs._triangle_count(g) for g in srgs] == want
+
+    def test_mismatch_with_the_per_edge_pass_raises(self, monkeypatch):
+        from cayleycert.iso import fingerprint
+
+        g = paley_graph(13)
+        # a consistent pass (3 / 3 = 1 triangle) that disagrees with n k lam / 6 = 26
+        monkeypatch.setattr(graphs, "_common_neighborhood_pass", lambda graph: (((3, 0), 1),))
+        with pytest.raises(SelfCheckError, match="triangle"):
+            fingerprint(g)
 
 
 def brute_edge_profile(g):

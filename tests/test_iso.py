@@ -533,6 +533,51 @@ class TestSelfComplementary:
             assert diameter(g) == 2
 
 
+#: Self-complementary graphs that only the search can certify against their
+#: complements: every invariant screen agrees on each pair.
+PROBE_POSITIVES = {
+    **{f"paley{q}": (lambda q=q: paley(q).connection_set) for q in (13, 25, 49, 81, 121, 169)},
+    "peisert49": lambda: peisert(49).connection_set,
+    "peisert121": lambda: peisert(121).connection_set,
+    "davis3": lambda: davis(3).connection_set,
+    "P5[P5]": lambda: lex_product(paley(5).connection_set, paley(5).connection_set),
+    "P9[P13]": lambda: lex_product(paley(9).connection_set, paley(13).connection_set),
+    "P13[P9]": lambda: lex_product(paley(13).connection_set, paley(9).connection_set),
+}
+
+
+def probe_positive(name):
+    g = build_cayley(PROBE_POSITIVES[name]())
+    return g.relabel(np.random.default_rng(len(name)).permutation(g.n))
+
+
+class TestProbe:
+    """The capped search before the costly screens against the pipeline that
+    runs every screen first (PROBE_NODES = 0)."""
+
+    @pytest.mark.parametrize("name", sorted(PROBE_POSITIVES))
+    def test_same_decision_as_screens_first(self, monkeypatch, name):
+        g = probe_positive(name)
+        probed = are_isomorphic(g, complement(g))
+        assert probed.isomorphic and probed.certificate.nodes <= iso.PROBE_NODES
+        monkeypatch.setattr(iso, "PROBE_NODES", 0)
+        assert are_isomorphic(g, complement(g)).to_json_dict() == probed.to_json_dict()
+
+    @pytest.mark.parametrize("name", sorted(PROBE_POSITIVES))
+    def test_positives_skip_the_costly_screens(self, monkeypatch, name):
+        from cayleycert import graphs
+
+        calls = []
+        rank, edge_pass = iso.mod_p_rank, graphs._common_neighborhood_pass
+        monkeypatch.setattr(iso, "mod_p_rank", lambda *a: calls.append("rank") or rank(*a))
+        monkeypatch.setattr(
+            graphs, "_common_neighborhood_pass", lambda g: calls.append("pass") or edge_pass(g)
+        )
+        g = probe_positive(name)
+        assert are_isomorphic(g, complement(g)).isomorphic
+        assert calls == []
+
+
 class TestBudgets:
     def test_node_budget_gives_undecided(self):
         # vertex-transitive positive pair: the screens cannot decide it and
@@ -546,3 +591,20 @@ class TestBudgets:
         g = build_cayley(paley(25).connection_set)
         d = are_isomorphic(g, complement(g), time_budget=0.0)
         assert d.isomorphic is None
+
+    def test_node_budget_below_the_probe_cap(self):
+        g = probe_positive("P13[P9]")
+        needed = are_isomorphic(g, complement(g)).certificate.nodes
+        budget = needed // 2
+        assert budget < iso.PROBE_NODES
+        d = are_isomorphic(g, complement(g), node_budget=budget)
+        assert d.isomorphic is None
+        assert d.certificate.kind == "undecided" and d.certificate.nodes == budget + 1
+
+    def test_bad_automorphism_raises_before_the_screens(self, monkeypatch):
+        # the pair is refuted by the cheap triangles field, yet the supplied
+        # permutation is checked first
+        two_triangles = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        monkeypatch.setattr(iso, "check_srg", lambda g: pytest.fail("a screen ran"))
+        with pytest.raises(ValueError, match="not an automorphism"):
+            are_isomorphic(cycle(6), two_triangles, aut_perms=[[0, 3, 2, 1, 4, 5]])
