@@ -6,8 +6,9 @@ distance layers (float32 products of a block of 0/1 rows with the
 adjacency), the per-edge common-neighbourhood pass (one float32 product per
 vertex), the edge counts of the deep color refinement (one float32 product
 per color class), the odd-p ranks (lazily reduced elimination in int32 or
-int64) and the graph6 format.  The float32 products are exact because every
-value they form is an integer below 2^24.  Where a kernel needs them, the
+int64, where the parameters of a strongly regular graph do not fix the rank)
+and the graph6 format.  The float32 products are exact because every value
+they form is an integer below 2^24.  Where a kernel needs them, the
 rows are also packed into Python ints, once per graph: the GF(2) rank is an
 XOR basis of those bit rows, and a BFS ORs them (the distances of graphs
 with a large eccentricity).
@@ -214,6 +215,63 @@ class SrgParams:
 
     def eigenvalues(self) -> "Eigenvalues":
         return Eigenvalues(self.k, self.beta, self.delta)
+
+    def multiplicities(self) -> tuple[int, int]:
+        """(f, g), the multiplicities of the eigenvalues r > s of a connected
+        SRG with these parameters, from f + g = n - 1 and k + f r + g s = 0
+        (trace A = 0).  An irrational r forces f = g, hence conference
+        parameters and f = (n - 1) / 2.  Raises SelfCheckError when no
+        connected SRG can have these parameters: f or g is not a positive
+        integer, or delta is not a square on non-conference parameters."""
+        pair = self.eigenvalues().integer_pair
+        if pair is None:
+            if self.conference_t is None:
+                raise SelfCheckError(
+                    f"delta = {self.delta} of {self.as_tuple()} is not a square,"
+                    " yet the parameters are not conference type"
+                )
+            return 2 * self.mu, 2 * self.mu
+        r, s = pair
+        top = -self.k - (self.n - 1) * s
+        f, rem = divmod(top, r - s)
+        if rem or not 0 < f < self.n - 1:
+            raise SelfCheckError(
+                f"{self.as_tuple()} give the eigenvalue {r} the multiplicity"
+                f" {top}/{r - s}, not an integer in 1..n-2"
+            )
+        return f, self.n - 1 - f
+
+    def p_rank(self, p: int, shift: int) -> Optional[int]:
+        """The rank of A + shift*I over Z_p (p prime) for every connected SRG
+        with these parameters, or None when they leave it open.
+
+        A + tI has the eigenvalues k + t, r + t and s + t with multiplicities
+        1, f and g, and (r + t)(s + t) = N = t^2 + beta t - (k - mu).
+        (a) If p divides neither k + t nor N, it does not divide
+            det(A + tI) = (k + t)(r + t)^f (s + t)^g, and the rank is n.
+        (b) Otherwise, if p divides neither n nor delta = (r - s)^2, the
+            idempotents J/n, E_r = (A - sI - (k - s)J/n)/(r - s) and E_s are
+            p-integral (over Z, or the integers of Q(sqrt delta) localised at
+            a prime above p), and the rank is the sum of their ranks 1, f and
+            g over the eigenvalues p does not divide.  For irrational r, p
+            divides exactly one of r + t and s + t when p | N (both would put
+            r - s in the prime), and f = g.
+        (c) Otherwise the rank is not a function of the parameters (Brouwer
+            and van Eijl, J. Algebraic Combin. 1 (1992)): None.
+        """
+        f, g = self.multiplicities()
+        t = shift
+        N = t * t + self.beta * t - (self.k - self.mu)
+        k_unit = (self.k + t) % p != 0
+        if k_unit and N % p:
+            return self.n
+        if self.n % p == 0 or self.delta % p == 0:
+            return None
+        pair = self.eigenvalues().integer_pair
+        if pair is None:
+            return k_unit + 2 * f - (f if N % p == 0 else 0)
+        r, s = pair
+        return k_unit + (f if (r + t) % p else 0) + (g if (s + t) % p else 0)
 
 
 @dataclass(frozen=True)
@@ -655,14 +713,23 @@ _INT32_MAX = 2**31 - 1
 
 
 def mod_p_rank(graph: DenseGraph, p: int, shift: int = 0) -> int:
-    """Rank of (A + shift*I) over Z_p: an XOR basis of the bit rows for p = 2,
-    lazily reduced Gaussian elimination in machine integers for odd p."""
+    """Rank of (A + shift*I) over Z_p.  For a strongly regular graph it is
+    read off the memoised check_srg parameters wherever SrgParams.p_rank
+    fixes it.  Otherwise it is eliminated: an XOR basis of the bit rows for
+    p = 2, lazily reduced Gaussian elimination in machine integers for odd p."""
     from .fields import is_prime
 
     if p > 2 and (p - 1) ** 2 + p > _INT64_MAX:
         raise ValueError(f"p = {p} is too large for exact elimination in int64")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    srg = check_srg(graph)
+    rank = srg.params.p_rank(p, shift) if srg.is_srg else None
+    return _eliminated_rank(graph, p, shift) if rank is None else rank
+
+
+def _eliminated_rank(graph: DenseGraph, p: int, shift: int) -> int:
+    """The rank of (A + shift*I) over Z_p by elimination alone."""
     if p == 2:
         return _gf2_rank(r ^ ((shift % 2) << u) for u, r in enumerate(graph.rows))
     return _odd_p_rank(graph, p, shift)

@@ -16,7 +16,8 @@ from cayleycert.graphs import DenseGraph, from_graph6, to_graph6
 
 
 #: Outputs recorded before the claim and check tables replaced the CLI's
-#: if-chains; the tables must reproduce them byte for byte.
+#: if-chains, and for davis(5) --invariants before SRG p-ranks came from the
+#: parameters; the program must reproduce them byte for byte.
 DATA = Path(__file__).parent / "data"
 
 
@@ -206,6 +207,15 @@ class TestVerify:
         )
         assert code == 0
         assert out == (DATA / "verify_davis3_all_checks.json").read_text()
+
+    def test_davis5_invariants_golden(self, capsys, monkeypatch, tmp_path):
+        """verify --srg --invariants on davis(5) as graph6, recorded while every
+        mod-p rank was eliminated: the ranks read off its parameters match."""
+        (tmp_path / "davis5.g6").write_text(to_graph6(build_cayley(davis(5).connection_set)) + "\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "verify", "davis5.g6", "--srg", "--invariants")
+        assert code == 0
+        assert out == (DATA / "verify_davis5_invariants.json").read_text()
 
     @pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
     def test_selfcomp_search_golden(self, capsys, monkeypatch, tmp_path, name):

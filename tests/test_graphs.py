@@ -729,7 +729,8 @@ class TestModPRank:
         # 2^31 - 1 and the largest prime whose step fits int64 reduce the
         # trailing block every step.  The integer eigenvalues of paley(9),
         # paley(25) and C6 (shifts -1, 2, 3) make A + shift*I singular, which
-        # only exact elimination reproduces.
+        # only exact elimination, or for the Paley graphs their parameters,
+        # reproduces.
         rng = random.Random(29)
         corpus = [random_graph(rng.randrange(3, 13), rng.random(), rng) for _ in range(8)]
         corpus += [paley_graph(9), paley_graph(25), cycle(6)]
@@ -762,6 +763,91 @@ class TestModPRank:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             mod_p_rank(cycle(5), 4)
+
+    def test_elimination_kernels_on_srgs(self):
+        # Strongly regular graphs reach the kernels only where their
+        # parameters leave the rank open, so check the kernels here directly,
+        # at shifts that make A + shift*I singular too (-1 and 2 on paley(9),
+        # 3 on paley(25), 5 on davis(3)) and at the large primes of
+        # test_against_oracle, where the Paley graphs once reached them.
+        for g in (paley_graph(9), paley_graph(25), build_cayley(davis(3).connection_set)):
+            for p in (2, 3, 5, 7, 46337, 2**31 - 1, 3037000493):
+                for shift in [*range(min(p, 8)), -1]:
+                    A = g.adjacency().astype(int).tolist()
+                    for i in range(g.n):
+                        A[i][i] += shift
+                    assert graphs._eliminated_rank(g, p, shift) == rank_oracle(A, p)
+
+
+def networkx_srgs():
+    """Strongly regular graphs that networkx generates: triangular graphs
+    T(m), rook's graphs L2(m), complete multipartite graphs K_{m x a} (m parts
+    of size a), Petersen, Clebsch (the folded 5-cube) and Shrikhande (the 4 x 4
+    torus with one diagonal class)."""
+    out = [nx.line_graph(nx.complete_graph(m)) for m in range(4, 11)]
+    out += [nx.cartesian_product(nx.complete_graph(m), nx.complete_graph(m)) for m in range(3, 8)]
+    out += [nx.complete_multipartite_graph(*[a] * m) for m, a in ((3, 3), (2, 5), (4, 3))]
+    out.append(nx.petersen_graph())
+    clebsch = nx.hypercube_graph(4)
+    clebsch.add_edges_from((v, tuple(1 - x for x in v)) for v in list(clebsch))
+    shrikhande = nx.grid_2d_graph(4, 4, periodic=True)
+    shrikhande.add_edges_from(((i, j), ((i + 1) % 4, (j + 1) % 4)) for i in range(4) for j in range(4))
+    out += [clebsch, shrikhande]
+    return [from_networkx(nx.convert_node_labels_to_integers(G, ordering="sorted")) for G in out]
+
+
+def srg_corpus():
+    """Paley 5..81, Peisert 49/81/121, davis(3) and networkx_srgs, each
+    followed by its complement."""
+    conns = [paley(q).connection_set for q in (5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 81)]
+    conns += [peisert(q).connection_set for q in (49, 81, 121)] + [davis(3).connection_set]
+    graphs_ = [build_cayley(c) for c in conns] + networkx_srgs()
+    return [h for g in graphs_ for h in (g, complement(g))]
+
+
+class TestSrgPRank:
+    PRIMES = (2, 3, 5, 7, 11, 13)
+
+    def test_parameter_ranks_match_elimination(self):
+        fixed = open_ = 0
+        for g in srg_corpus():
+            srg = check_srg(g)
+            if not srg.is_srg:  # the complement of a complete multipartite graph
+                continue
+            for p in self.PRIMES:
+                for shift in range(p):
+                    rank = srg.params.p_rank(p, shift)
+                    if rank is None:
+                        open_ += 1
+                    else:
+                        assert rank == graphs._eliminated_rank(g, p, shift), (srg.params, p, shift)
+                        fixed += 1
+        assert fixed > 10 * open_ > 0
+
+    def test_rank_left_open(self):
+        petersen = from_networkx(nx.petersen_graph())
+        t4, t5 = (from_networkx(nx.convert_node_labels_to_integers(nx.line_graph(nx.complete_graph(m))))
+                  for m in (4, 5))
+        d5 = build_cayley(davis(5).connection_set)
+        for g, p, shift in ((petersen, 2, 1), (t4, 3, 2), (t5, 5, 4), (d5, 5, 3)):
+            assert check_srg(g).params.p_rank(p, shift) is None
+
+    def test_davis5_fingerprint_ranks_fixed(self):
+        params = check_srg(build_cayley(davis(5).connection_set)).params
+        for p in (2, 3, 5, 7):
+            for shift in (0, 1):
+                assert params.p_rank(p, shift) is not None
+
+    def test_multiplicities(self):
+        assert SrgParams(10, 3, 0, 1).multiplicities() == (5, 4)  # Petersen: 1, -2
+        assert SrgParams(13, 6, 2, 3).multiplicities() == (6, 6)  # paley(13), delta = 13
+        assert SrgParams(625, 312, 155, 156).multiplicities() == (312, 312)
+        # (n-k-1) mu = k (k-lam-1) = 8 holds, but f = 14/3
+        with pytest.raises(SelfCheckError, match="14/3"):
+            SrgParams(7, 4, 1, 4).multiplicities()
+        # delta = 8 is not a square, and (10, 3, 0, 2) is not conference type
+        with pytest.raises(SelfCheckError, match="not conference type"):
+            SrgParams(10, 3, 0, 2).multiplicities()
 
 
 def dense_random_graph(n, seed):

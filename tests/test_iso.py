@@ -224,6 +224,23 @@ class TestFingerprint:
         assert (d.certificate.invariant, d.certificate.values) == ("triangles", (0, 2))
         assert ranks == []
 
+    def test_davis5_ranks_eliminated_only_by_the_spectral_screen(self, monkeypatch):
+        # davis(5) is (625, 312, 155, 156) with r - s = 25: its parameters
+        # fix all eight fingerprint ranks, but not the 5-rank of A + 3I
+        from cayleycert import graphs
+
+        calls = []
+        odd, gf2 = graphs._odd_p_rank, graphs._gf2_rank
+        monkeypatch.setattr(graphs, "_odd_p_rank", lambda *a: calls.append(a[1:]) or odd(*a))
+        monkeypatch.setattr(graphs, "_gf2_rank", lambda rows: calls.append(2) or gf2(rows))
+        g = build_cayley(davis(5).connection_set)
+        h = g.relabel(np.random.default_rng(5).permutation(g.n))
+        ranks = (312, 313, 312, 313, 625, 625, 625, 625)  # as eliminated before
+        assert fingerprint(h).mod_ranks == tuple(zip(itertools.product((2, 3, 5, 7), (0, 1)), ranks))
+        assert calls == []
+        assert iso._spectral_rank_screen(g, h, check_srg(g).params) is None
+        assert calls == [(5, 3), (5, 3)]
+
     def test_one_all_source_bfs_per_graph(self, monkeypatch):
         from cayleycert import graphs
 
