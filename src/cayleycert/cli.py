@@ -110,6 +110,8 @@ def _parse_operand(spec: str) -> tuple[tuple, int]:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     try:
+        if args.generator is not None and args.family != "peisert":
+            raise ValueError(f"--generator applies to peisert only, not {args.family}")
         if args.family == "lexprod":
             if not args.left or not args.right:
                 raise ValueError("lexprod needs --left and --right family:param")

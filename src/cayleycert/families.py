@@ -14,7 +14,6 @@ from typing import Optional
 
 from .cayley import ConnectionSet, validate_connection_set
 from .fields import (
-    FieldElement,
     FiniteField,
     make_field,
     poly_str,
@@ -55,7 +54,7 @@ class ConstructionReport:
         return out
 
 
-def _field_report(F: FiniteField, primitive: Optional[FieldElement] = None) -> dict:
+def _field_report(F: FiniteField, primitive: Optional[tuple[int, ...]] = None) -> dict:
     info = {
         "p": F.p,
         "r": F.r,
@@ -89,7 +88,7 @@ def paley(q: int) -> ConstructionReport:
     p, r = pr
     F = make_field(p, r)
     group = F.additive_group()
-    conn = validate_connection_set(group, (F.coords(a) for a in F.squares()))
+    conn = validate_connection_set(group, F.squares())
     _expect_half_size(conn, "paley")
     return ConstructionReport(
         family="paley",
@@ -100,7 +99,7 @@ def paley(q: int) -> ConstructionReport:
     )
 
 
-def peisert(q: int, generator: Optional[FieldElement] = None) -> ConstructionReport:
+def peisert(q: int, generator: Optional[tuple[int, ...]] = None) -> ConstructionReport:
     """Cay(Z_p^r, {a^i : i = 0,1 mod 4}); needs p = 3 mod 4 and r even."""
     check_order_budget("field", q)
     pr = prime_power_decomposition(q)
@@ -108,10 +107,10 @@ def peisert(q: int, generator: Optional[FieldElement] = None) -> ConstructionRep
         raise ValueError(f"q = {q} is not a prime power")
     p, r = pr
     F = make_field(p, r)
-    S_field = F.peisert_set(generator)  # validates p mod 4 and parity of r
-    a = F.primitive_element() if generator is None else generator
+    S = F.peisert_set(generator)  # validates p mod 4, parity of r and the generator
+    a = F.primitive if generator is None else generator
     group = F.additive_group()
-    conn = validate_connection_set(group, (F.coords(x) for x in S_field))
+    conn = validate_connection_set(group, S)
     _expect_half_size(conn, "peisert")
     return ConstructionReport(
         family="peisert",

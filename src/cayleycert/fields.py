@@ -1,23 +1,25 @@
-"""Exact arithmetic in GF(p^r), plus the quadratic-residue and
-power-residue subsets feeding the Paley and Peisert connection sets.
+"""GF(p^r) as the table of powers of one primitive element, plus the
+quadratic-residue and power-residue subsets feeding the Paley and Peisert
+connection sets.
 
 Elements are coefficient tuples of length r, constant term first; the same
 convention maps elements onto residue tuples of Z_p^r.  The field modulus is
 always the lexicographically smallest monic irreducible polynomial of its
-degree, so every (p, r) names one reproducible field.
+degree, and the primitive element the first of order q - 1 in mixed-radix
+order, so every (p, r) names one reproducible field and power table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .graphs import check_order_budget
 from .groups import AbelianGroup
-
-FieldElement = tuple[int, ...]
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -124,17 +126,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     a = _poly_trim(list(a))
     b = _poly_trim(list(b))
@@ -191,161 +182,77 @@ def poly_str(coeffs: Sequence[int]) -> str:
 # --- the field ----------------------------------------------------------------
 
 
+def _mul_matrix(a: Sequence[int], modulus: Sequence[int], p: int) -> np.ndarray:
+    """M_a = sum_i a_i C^i mod p, where C, the companion matrix of the modulus,
+    multiplies by x; M_a @ b is then the coordinate vector of a * b."""
+    r = len(modulus) - 1
+    C = np.eye(r, k=-1, dtype=np.int64)  # x^j -> x^(j+1) for j < r - 1
+    C[:, -1] = [-m % p for m in modulus[:r]]  # x^r = -(m_0 + ... + m_(r-1) x^(r-1))
+    M = np.zeros((r, r), dtype=np.int64)
+    X = np.eye(r, dtype=np.int64)
+    for ai in a:
+        M = (M + ai * X) % p
+        X = X @ C % p
+    return M
+
+
+def _mat_pow(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
+
+
+def _is_primitive(M: np.ndarray, p: int, q: int) -> bool:
+    """An element generates GF(q)* iff its matrix M is nonzero and
+    M^((q-1)/l) != I for every prime l dividing q - 1."""
+    one = np.eye(len(M), dtype=np.int64)
+    return bool(M.any()) and not any(
+        np.array_equal(_mat_pow(M, (q - 1) // ell, p), one) for ell in factorize(q - 1)
+    )
+
+
+def _power_table(M: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Rows a^0, ..., a^(q-2) for the element a with matrix M, by doubling:
+    rows a^(i + 2^k) are rows a^i times M^(2^k)."""
+    rows = np.eye(1, len(M), dtype=np.int64)
+    while len(rows) < q - 1:
+        rows = np.vstack((rows, rows @ M.T % p))
+        M = M @ M % p
+    rows = rows[: q - 1]
+    rows.flags.writeable = False
+    return rows
+
+
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^r) as Z_p[x] modulo a fixed monic irreducible of degree r."""
+    """GF(p^r) as Z_p[x] modulo a fixed monic irreducible of degree r, held as
+    the powers of its primitive element: row i of `powers` is the coordinate
+    tuple of primitive^i, constant term first, for i < q - 1."""
 
     p: int
     r: int
     modulus: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    primitive: tuple[int, ...]
+    powers: np.ndarray = field(repr=False, compare=False)
 
     @property
     def q(self) -> int:
         return self.p**self.r
 
-    @property
-    def zero(self) -> FieldElement:
-        return (0,) * self.r
-
-    @property
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.r - 1)
-
-    def _check(self, a: FieldElement) -> None:
-        if len(a) != self.r or any(not 0 <= c < self.p for c in a):
-            raise ValueError(f"{a} is not a reduced element of GF({self.q})")
-
-    # --- arithmetic ---------------------------------------------------------
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a)
-        self._check(b)
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return tuple((-x) % self.p for x in a)
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a)
-        self._check(b)
-        prod = _poly_mul(a, b, self.p)
-        _, rem = _poly_divmod(prod, self.modulus, self.p)
-        return tuple(rem) + (0,) * (self.r - len(rem))
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
-        if e < 0:
-            return self.pow(self.inverse(a), -e)
-        out = self.one
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def inverse(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        if a == self.zero:
-            raise ZeroDivisionError(f"inverse of 0 in GF({self.q})")
-        # Extended Euclid on (a, modulus) over Z_p[x].
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_trim(
-                [
-                    (x - y) % self.p
-                    for x, y in itertools.zip_longest(
-                        s0, _poly_mul(q, s1, self.p), fillvalue=0
-                    )
-                ]
-            )
-        # r0 is now a unit constant gcd.
-        scale = pow(r0[0], -1, self.p)
-        inv = [(scale * c) % self.p for c in s0]
-        return tuple(inv) + (0,) * (self.r - len(inv))
-
-    # --- enumeration and coordinates ----------------------------------------
-
-    def element_of(self, idx: int) -> FieldElement:
-        """Mixed-radix enumeration: index = c0*p^(r-1) + ... + c_{r-1}."""
-        if not 0 <= idx < self.q:
-            raise ValueError(f"index {idx} out of range for GF({self.q})")
-        digits = []
-        for _ in range(self.r):
-            idx, d = divmod(idx, self.p)
-            digits.append(d)
-        return tuple(reversed(digits))
-
-    def index_of(self, a: FieldElement) -> int:
-        self._check(a)
-        idx = 0
-        for c in a:
-            idx = idx * self.p + c
-        return idx
-
-    def elements(self) -> list[FieldElement]:
-        return [self.element_of(i) for i in range(self.q)]
-
     def additive_group(self) -> AbelianGroup:
-        """Z_p^r; coords(a) is the coefficient tuple itself, so the map
-        FieldElement -> GroupElement is the identity on tuples and is additive."""
+        """Z_p^r; a field element's coordinate tuple is its group element, so
+        the sets below are connection sets as they stand."""
         return AbelianGroup((self.p,) * self.r)
 
-    def coords(self, a: FieldElement) -> tuple[int, ...]:
-        self._check(a)
-        return a
+    def squares(self) -> frozenset[tuple[int, ...]]:
+        """Nonzero squares, the even powers; for odd q there are (q-1)/2."""
+        return frozenset(map(tuple, self.powers[:: gcd(2, self.q - 1)].tolist()))
 
-    def from_coords(self, t: Sequence[int]) -> FieldElement:
-        a = tuple(t)
-        self._check(a)
-        return a
-
-    # --- multiplicative structure --------------------------------------------
-
-    def multiplicative_order(self, a: FieldElement) -> int:
-        self._check(a)
-        if a == self.zero:
-            raise ZeroDivisionError("0 has no multiplicative order")
-        m = self.q - 1
-        for ell in factorize(self.q - 1):
-            while m % ell == 0 and self.pow(a, m // ell) == self.one:
-                m //= ell
-        return m
-
-    def primitive_element(self) -> FieldElement:
-        """First element in enumeration order with multiplicative order q-1."""
-        a = self._cache.get("primitive")
-        if a is None:
-            for idx in range(1, self.q):
-                cand = self.element_of(idx)
-                if self.multiplicative_order(cand) == self.q - 1:
-                    a = cand
-                    break
-            else:  # pragma: no cover - a generator always exists
-                raise AssertionError("no primitive element found")
-            self._cache["primitive"] = a
-        return a
-
-    def squares(self) -> frozenset[FieldElement]:
-        """Nonzero squares; for odd q there are (q-1)/2 of them."""
-        sq = self._cache.get("squares")
-        if sq is None:
-            sq = frozenset(
-                self.mul(a, a) for a in (self.element_of(i) for i in range(1, self.q))
-            )
-            self._cache["squares"] = sq
-        return sq
-
-    def peisert_set(self, generator: Optional[FieldElement] = None) -> frozenset[FieldElement]:
+    def peisert_set(self, generator: Optional[Sequence[int]] = None) -> frozenset[tuple[int, ...]]:
         """{a^i : i mod 4 in {0, 1}} for a primitive a; needs p = 3 mod 4, r even."""
         if self.p % 4 != 3:
             raise ValueError(
@@ -353,16 +260,16 @@ class FiniteField:
             )
         if self.r % 2 != 0:
             raise ValueError(f"Peisert set requires even extension degree, got r = {self.r}")
-        a = self.primitive_element() if generator is None else generator
-        if generator is not None and self.multiplicative_order(a) != self.q - 1:
-            raise ValueError(f"override generator {a} is not primitive in GF({self.q})")
-        out = set()
-        x = self.one
-        for i in range(self.q - 1):
-            if i % 4 in (0, 1):
-                out.add(x)
-            x = self.mul(x, a)
-        return frozenset(out)
+        rows = self.powers
+        if generator is not None:
+            a = tuple(generator)
+            if len(a) != self.r or any(not 0 <= c < self.p for c in a):
+                raise ValueError(f"{a} is not a reduced element of GF({self.q})")
+            M = _mul_matrix(a, self.modulus, self.p)
+            if not _is_primitive(M, self.p, self.q):
+                raise ValueError(f"override generator {a} is not primitive in GF({self.q})")
+            rows = _power_table(M, self.p, self.q)
+        return frozenset(map(tuple, rows[np.arange(self.q - 1) % 4 < 2].tolist()))
 
     def __str__(self) -> str:
         return f"GF({self.q})"
@@ -372,7 +279,15 @@ def make_field(p: int, r: int) -> FiniteField:
     """Deterministic GF(p^r) with the lex-smallest irreducible modulus."""
     if r < 1:
         raise ValueError(f"extension degree must be >= 1, got {r}")
-    check_order_budget("field", p**r)
+    q = p**r
+    check_order_budget("field", q)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return FiniteField(p, r, _smallest_irreducible(p, r))
+    modulus = _smallest_irreducible(p, r)
+    # the primitive element is the first in mixed-radix order, constant term
+    # most significant, whose multiplicative order is q - 1
+    for a in itertools.product(range(p), repeat=r):
+        M = _mul_matrix(a, modulus, p)
+        if _is_primitive(M, p, q):
+            return FiniteField(p, r, modulus, a, _power_table(M, p, q))
+    raise AssertionError(f"no primitive element in GF({q})")  # pragma: no cover

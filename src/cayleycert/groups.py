@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -217,10 +217,6 @@ class GroupAutomorphism:
         for r, img in zip(g, self.generator_images):
             out = self.group.add(out, self.group.scalar_mul(r, img))
         return out
-
-    def apply_set(self, elems: Iterable[GroupElement]) -> frozenset[GroupElement]:
-        image = frozenset(self.apply(g) for g in elems)
-        return image
 
     def as_permutation(self) -> np.ndarray:
         """The induced permutation on element indices."""

@@ -109,6 +109,40 @@ class TestConstruct:
         assert "budget" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "generator,message",
+        [
+            ("0,0", "not primitive"),
+            ("5,1", "not a reduced element"),  # 5 is not reduced mod 3
+            ("1", "not a reduced element"),  # GF(9) elements have two coordinates
+            ("2,0", "not primitive"),  # -1 has order 2
+        ],
+    )
+    def test_bad_peisert_generator_exits_2(self, capsys, tmp_path, generator, message):
+        code, _, err = run_cli(
+            capsys, "construct", "peisert", "--q", "9", "--generator", generator,
+            "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["paley", "--q", "9"],
+            ["davis", "--p", "3"],
+            ["lexprod", "--left", "paley:5", "--right", "paley:5"],
+        ],
+    )
+    def test_generator_outside_peisert_exits_2(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(
+            capsys, "construct", *argv, "--generator", "1,1", "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "peisert only" in err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_param_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "construct", "davis", "--out", str(tmp_path))
         assert code == 2

@@ -386,7 +386,7 @@ def moved(conn, rng):
     autos = np.concatenate([idx for idx, _ in reference_automorphism_batches(G)])
     images = autos[rng.randrange(len(autos))]
     sigma = GroupAutomorphism(G, tuple(G.element_of(int(i)) for i in images))
-    return validate_connection_set(G, sigma.apply_set(conn.elements))
+    return validate_connection_set(G, frozenset(map(sigma.apply, conn.elements)))
 
 
 SCAN_INPUTS = {
