@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import DenseGraph
+from .graphs import DenseGraph, check_order_budget
 from .groups import AbelianGroup, GroupElement, parse_group_spec
 
 
@@ -48,16 +48,19 @@ def validate_connection_set(
 ) -> ConnectionSet:
     """Check identity-freeness and closure under negation; report every violation."""
     elems = frozenset(tuple(g) for g in elements)
-    violations = []
-    for g in sorted(elems):
-        if not group.contains(g):
-            violations.append(f"{g} is not a reduced element of {group}")
+    violations = [
+        f"{g} is not a reduced element of {group}" for g in sorted(elems) if not group.contains(g)
+    ]
     if not violations:
         if group.identity in elems:
             violations.append("identity element present")
-        for g in sorted(elems):
-            if group.neg(g) not in elems:
-                violations.append(f"{g} present but -{g} = {group.neg(g)} absent")
+        listed = sorted(elems)
+        idx = [group.index_of(g) for g in listed]
+        present = np.zeros(group.order, dtype=bool)
+        present[idx] = True
+        for g, minus in zip(listed, group.neg_table[idx].tolist()):
+            if not present[minus]:
+                violations.append(f"{g} present but -{g} = {group.element_of(minus)} absent")
     if violations:
         raise InvalidConnectionSetError(violations)
     return ConnectionSet(group, elems)
@@ -67,6 +70,7 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular."""
     G = conn.group
     n = G.order
+    check_order_budget("group", n)
     A = np.zeros((n, n), dtype=bool)
     s_idx = conn.indices()
     if s_idx:
@@ -77,10 +81,10 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
     """G minus (S and the identity); the Cayley graph of it is the complement."""
     G = conn.group
-    rest = frozenset(
-        g for g in G.elements() if g != G.identity and g not in conn.elements
-    )
-    return ConnectionSet(G, rest)
+    keep = np.ones(G.order, dtype=bool)
+    keep[0] = False  # the identity
+    keep[conn.indices()] = False
+    return ConnectionSet(G, frozenset(map(tuple, G.residue_matrix[keep].tolist())))
 
 
 def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
@@ -88,13 +92,9 @@ def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
     {(a, g) : a in S1, g in G2} union {(e, s) : s in S2} over G1 x G2."""
     g1, g2 = s1.group, s2.group
     product = AbelianGroup(g1.factors + g2.factors)
-    elems = set()
-    for a in s1.elements:
-        for g in g2.elements():
-            elems.add(a + g)
-    e1 = g1.identity
-    for s in s2.elements:
-        elems.add(e1 + s)
+    n2 = g2.order
+    idx = [a * n2 + g for a in s1.indices() for g in range(n2)] + s2.indices()
+    elems = map(tuple, product.residue_matrix[idx].tolist())
     return validate_connection_set(product, elems)
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field as dataclass_field
 from math import isqrt
 from typing import Optional
 
+import numpy as np
+
 from .cayley import ConnectionSet, validate_connection_set
 from .fields import (
     FiniteField,
@@ -154,24 +156,28 @@ def davis(p: int) -> ConstructionReport:
     group = AbelianGroup((n, n))
     c_gens, d_gens = _davis_generator_lists(p)
 
-    subgroups: dict[GroupElement, frozenset[GroupElement]] = {}
+    orders = group.element_orders
+    subgroups: dict[GroupElement, np.ndarray] = {}
     for g in c_gens + d_gens:
-        if group.element_order(g) != n:
+        if orders[group.index_of(g)] != n:
             raise ConstructionError(f"generator {g} does not have order {n}")
-        subgroups[g] = group.cyclic_subgroup(g)
+        # Indices of 0*g, 1*g, ..., (n-1)*g.
+        subgroups[g] = (np.outer(np.arange(n), g) % n) @ group.index_weights
     seen = {}
     for g, H in subgroups.items():
-        key = frozenset(H)
+        key = frozenset(H.tolist())
         if key in seen:
             raise ConstructionError(f"subgroups <{seen[key]}> and <{g}> coincide")
         seen[key] = g
 
-    C: set[GroupElement] = set()
+    C: set[int] = set()
     for g in c_gens:
-        C.update(x for x in subgroups[g] if group.element_order(x) == n)
-    D: set[GroupElement] = set()
+        H = subgroups[g]
+        C.update(H[orders[H] == n].tolist())
+    D: set[int] = set()
     for g in d_gens:
-        D.update(x for x in subgroups[g] if x != group.identity)
+        H = subgroups[g]
+        D.update(H[H != 0].tolist())  # 0 indexes the identity
 
     expected_c = (n - 1) // 2 * (n - p)
     expected_d = (p + 1) // 2 * (n - 1)
@@ -181,13 +187,13 @@ def davis(p: int) -> ConstructionReport:
         raise ConstructionError(f"|D| = {len(D)}, expected {expected_d}")
     overlap = C & D
     if overlap:
-        raise ConstructionError(f"C and D intersect, e.g. {sorted(overlap)[0]}")
+        raise ConstructionError(f"C and D intersect, e.g. {group.element_of(min(overlap))}")
     S = C | D
     if len(S) != (n * n - 1) // 2:
         raise ConstructionError(
             f"|S| = {len(S)}, expected (p^4-1)/2 = {(n * n - 1) // 2}"
         )
-    conn = validate_connection_set(group, S)
+    conn = validate_connection_set(group, map(tuple, group.residue_matrix[sorted(S)].tolist()))
     notes = {
         "c_generators": [list(g) for g in c_gens],
         "d_generators": [list(g) for g in d_gens],

@@ -213,8 +213,14 @@ class SrgParams:
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.lam, self.mu)
 
-    def eigenvalues(self) -> "Eigenvalues":
-        return Eigenvalues(self.k, self.beta, self.delta)
+    @property
+    def integer_eigenvalues(self) -> Optional[tuple[int, int]]:
+        """The eigenvalues (r, s) = ((beta +- sqrt(delta))/2) with r > s when
+        they are integers, else None."""
+        root = isqrt(self.delta)
+        if root * root != self.delta or (self.beta + root) % 2:
+            return None
+        return ((self.beta + root) // 2, (self.beta - root) // 2)
 
     def multiplicities(self) -> tuple[int, int]:
         """(f, g), the multiplicities of the eigenvalues r > s of a connected
@@ -223,7 +229,7 @@ class SrgParams:
         parameters and f = (n - 1) / 2.  Raises SelfCheckError when no
         connected SRG can have these parameters: f or g is not a positive
         integer, or delta is not a square on non-conference parameters."""
-        pair = self.eigenvalues().integer_pair
+        pair = self.integer_eigenvalues
         if pair is None:
             if self.conference_t is None:
                 raise SelfCheckError(
@@ -267,34 +273,11 @@ class SrgParams:
             return self.n
         if self.n % p == 0 or self.delta % p == 0:
             return None
-        pair = self.eigenvalues().integer_pair
+        pair = self.integer_eigenvalues
         if pair is None:
             return k_unit + 2 * f - (f if N % p == 0 else 0)
         r, s = pair
         return k_unit + (f if (r + t) % p else 0) + (g if (s + t) % p else 0)
-
-
-@dataclass(frozen=True)
-class Eigenvalues:
-    """Exact spectrum record: k and (beta +- sqrt(delta))/2 kept as integers."""
-
-    k: int
-    beta: int
-    delta: int
-
-    @property
-    def delta_is_square(self) -> bool:
-        return isqrt(self.delta) ** 2 == self.delta
-
-    @property
-    def integer_pair(self) -> Optional[tuple[int, int]]:
-        """(r, s) with r > s when delta is a perfect square, else None."""
-        if not self.delta_is_square:
-            return None
-        root = isqrt(self.delta)
-        if (self.beta + root) % 2 != 0:
-            return None
-        return ((self.beta + root) // 2, (self.beta - root) // 2)
 
 
 @dataclass(frozen=True)
@@ -309,19 +292,6 @@ class IntersectionArray:
             raise ValueError("b and c sequences must have equal length d")
         if self.cs and self.cs[0] != 1:
             raise ValueError("c1 must be 1")
-
-    @property
-    def d(self) -> int:
-        return len(self.bs)
-
-    @property
-    def k(self) -> int:
-        return self.bs[0]
-
-    def a(self, i: int) -> int:
-        b = self.bs[i] if i < self.d else 0
-        c = self.cs[i - 1] if i >= 1 else 0
-        return self.k - b - c
 
     def __str__(self) -> str:
         return "{%s;%s}" % (

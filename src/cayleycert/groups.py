@@ -1,15 +1,18 @@
 """Finite abelian groups presented as products of cyclic factors.
 
-Elements are residue tuples; vertex numbering everywhere in the toolkit is
-the mixed-radix enumeration order fixed here.  Groups are additive: the
-difference convention a - b replaces the multiplicative a*b^-1.
+Vertex numbering everywhere in the toolkit is the mixed-radix enumeration
+order fixed here, and a group's arithmetic is its read-only index tables:
+addition, negation and element orders.  Residue tuples appear only at the
+text/JSON boundary (contains, index_of, element_of).  Groups are additive:
+the difference convention a - b replaces the multiplicative a*b^-1.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from math import gcd, lcm, prod
+from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -18,8 +21,7 @@ from .graphs import check_order_budget, is_permutation
 
 GroupElement = tuple[int, ...]
 
-#: Enumeration limits for enumerate_automorphisms.
-AUT_MAX_ORDER = 2**16
+#: Enumeration limit for _automorphism_batches.
 AUT_MAX_CANDIDATES = 10**8
 #: Candidates tested per automorphism batch; a scan that stops early has
 #: paid for its own batch only.
@@ -30,19 +32,22 @@ class AutEnumerationError(RuntimeError):
     """Automorphism enumeration would exceed the configured budget."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class AbelianGroup:
     """Z_{n1} x ... x Z_{nk} with the factor order given (never canonicalized)."""
 
     factors: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __init__(self, factors: Sequence[int]):
         factors = tuple(int(n) for n in factors)
         if not factors or any(n < 2 for n in factors):
             raise ValueError(f"factors must all be >= 2, got {factors}")
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_cache", {})
 
     @property
     def order(self) -> int:
@@ -56,56 +61,18 @@ class AbelianGroup:
     def identity(self) -> GroupElement:
         return (0,) * len(self.factors)
 
-    # --- element arithmetic -------------------------------------------------
-
-    def _check(self, g: GroupElement) -> None:
-        if len(g) != len(self.factors):
-            raise ValueError(f"element arity {len(g)} does not match group {self}")
+    # --- codec: residue tuple <-> index -------------------------------------
 
     def contains(self, g: GroupElement) -> bool:
         return len(g) == len(self.factors) and all(
             0 <= r < n for r, n in zip(g, self.factors)
         )
 
-    def reduce(self, g: Sequence[int]) -> GroupElement:
-        self._check(tuple(g))
-        return tuple(r % n for r, n in zip(g, self.factors))
-
-    def add(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check(g)
-        self._check(h)
-        return tuple((a + b) % n for a, b, n in zip(g, h, self.factors))
-
-    def neg(self, g: GroupElement) -> GroupElement:
-        self._check(g)
-        return tuple((-a) % n for a, n in zip(g, self.factors))
-
-    def sub(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        self._check(g)
-        self._check(h)
-        return tuple((a - b) % n for a, b, n in zip(g, h, self.factors))
-
-    def scalar_mul(self, m: int, g: GroupElement) -> GroupElement:
-        self._check(g)
-        return tuple((m * a) % n for a, n in zip(g, self.factors))
-
-    def element_order(self, g: GroupElement) -> int:
-        """Least m >= 1 with m*g = identity."""
-        self._check(g)
-        return lcm(*(n // gcd(n, r) for r, n in zip(g, self.factors)))
-
-    def cyclic_subgroup(self, g: GroupElement) -> frozenset[GroupElement]:
-        """The set {0*g, 1*g, ..., (ord(g)-1)*g}."""
-        return frozenset(self.scalar_mul(m, g) for m in range(self.element_order(g)))
-
-    # --- enumeration: element <-> index -------------------------------------
-
     def index_of(self, g: GroupElement) -> int:
-        self._check(g)
+        if not self.contains(g):
+            raise ValueError(f"{tuple(g)} is not a reduced element of {self}")
         idx = 0
         for r, n in zip(g, self.factors):
-            if not 0 <= r < n:
-                raise ValueError(f"{tuple(g)} is not a reduced element of {self}")
             idx = idx * n + r
         return idx
 
@@ -118,69 +85,57 @@ class AbelianGroup:
             digits.append(r)
         return tuple(reversed(digits))
 
-    def elements(self) -> list[GroupElement]:
-        """All elements in mixed-radix enumeration order (index 0, 1, ...)."""
-        return [self.element_of(i) for i in range(self.order)]
+    # --- read-only index tables, built on first use -------------------------
 
-    # --- cached dense tables (numpy plumbing for the hot modules) -----------
-
-    @property
+    @cached_property
     def residue_matrix(self) -> np.ndarray:
-        """(order x rank) int64 array; row i = residues of the element with index i."""
-        mat = self._cache.get("residues")
-        if mat is None:
-            mat = np.zeros((self.order, self.rank), dtype=np.int64)
-            idx = np.arange(self.order)
-            for pos in range(self.rank - 1, -1, -1):
-                n = self.factors[pos]
-                mat[:, pos] = idx % n
-                idx = idx // n
-            mat.setflags(write=False)
-            self._cache["residues"] = mat
-        return mat
+        """(order x rank) int64 array; row i = residues of the element with
+        index i.  Every other table derives from it, so the order budget
+        checked here guards them all."""
+        check_order_budget("group", self.order)
+        mat = np.zeros((self.order, self.rank), dtype=np.int64)
+        idx = np.arange(self.order)
+        for pos in range(self.rank - 1, -1, -1):
+            n = self.factors[pos]
+            mat[:, pos] = idx % n
+            idx = idx // n
+        return _read_only(mat)
 
-    @property
+    @cached_property
     def index_weights(self) -> np.ndarray:
         """Mixed-radix weights w with index = residues . w."""
-        w = self._cache.get("weights")
-        if w is None:
-            w = np.ones(self.rank, dtype=np.int64)
-            for pos in range(self.rank - 2, -1, -1):
-                w[pos] = w[pos + 1] * self.factors[pos + 1]
-            w.setflags(write=False)
-            self._cache["weights"] = w
-        return w
+        w = np.ones(self.rank, dtype=np.int64)
+        for pos in range(self.rank - 2, -1, -1):
+            w[pos] = w[pos + 1] * self.factors[pos + 1]
+        return _read_only(w)
 
-    @property
+    @cached_property
     def add_table(self) -> np.ndarray:
         """Dense index addition table T[i, j] = index_of(g_i + g_j)."""
-        tab = self._cache.get("add_table")
-        if tab is None:
-            check_order_budget("group", self.order)
-            # One coordinate at a time: T = sum over positions of
-            # ((r_i + r_j) mod n_pos) * w_pos; every partial sum is an index.
-            tab = np.zeros((self.order, self.order), dtype=np.int32)
-            for pos, (n, w) in enumerate(zip(self.factors, self.index_weights.tolist())):
-                r = self.residue_matrix[:, pos].astype(np.int32)
-                summed = r[:, None] + r[None, :]
-                summed[summed >= n] -= n
-                summed *= w
-                tab += summed
-            tab.setflags(write=False)
-            self._cache["add_table"] = tab
-        return tab
+        res = self.residue_matrix.astype(np.int32)
+        # One coordinate at a time: T = sum over positions of
+        # ((r_i + r_j) mod n_pos) * w_pos; every partial sum is an index.
+        tab = np.zeros((self.order, self.order), dtype=np.int32)
+        for pos, (n, w) in enumerate(zip(self.factors, self.index_weights.tolist())):
+            r = res[:, pos]
+            summed = r[:, None] + r[None, :]
+            summed[summed >= n] -= n
+            summed *= w
+            tab += summed
+        return _read_only(tab)
 
-    @property
+    @cached_property
     def neg_table(self) -> np.ndarray:
         """Index negation table N[i] = index_of(-g_i)."""
-        tab = self._cache.get("neg_table")
-        if tab is None:
-            res = self.residue_matrix
-            factors = np.array(self.factors, dtype=np.int64)
-            tab = (((-res) % factors) @ self.index_weights).astype(np.int32)
-            tab.setflags(write=False)
-            self._cache["neg_table"] = tab
-        return tab
+        factors = np.array(self.factors, dtype=np.int64)
+        tab = ((-self.residue_matrix % factors) @ self.index_weights).astype(np.int32)
+        return _read_only(tab)
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, by index."""
+        factors = np.array(self.factors, dtype=np.int64)
+        return _read_only(np.lcm.reduce(factors // np.gcd(self.residue_matrix, factors), axis=1))
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
@@ -210,19 +165,11 @@ class GroupAutomorphism:
     group: AbelianGroup
     generator_images: tuple[GroupElement, ...]
 
-    def apply(self, g: GroupElement) -> GroupElement:
-        """sigma(g) = sum_i r_i * generator_images[i]."""
-        self.group._check(g)
-        out = self.group.identity
-        for r, img in zip(g, self.generator_images):
-            out = self.group.add(out, self.group.scalar_mul(r, img))
-        return out
-
     def as_permutation(self) -> np.ndarray:
         """The induced permutation on element indices."""
         G = self.group
         res = G.residue_matrix
-        mat = np.array([img for img in self.generator_images], dtype=np.int64)
+        mat = np.array(self.generator_images, dtype=np.int64)
         factors = np.array(G.factors, dtype=np.int64)
         return ((res @ mat) % factors) @ G.index_weights
 
@@ -237,7 +184,7 @@ def make_automorphism(
     for i, img in enumerate(images):
         if not G.contains(img):
             raise ValueError(f"image {img} does not belong to {G}")
-        if G.factors[i] % G.element_order(img) != 0:
+        if G.factors[i] % G.element_orders[G.index_of(img)] != 0:
             raise ValueError(
                 f"order of image {img} does not divide factor modulus {G.factors[i]}"
             )
@@ -248,13 +195,7 @@ def make_automorphism(
     return sigma
 
 
-def _element_orders(G: AbelianGroup) -> np.ndarray:
-    """Order of every element, by index."""
-    factors = np.array(G.factors, dtype=np.int64)
-    return np.lcm.reduce(factors // np.gcd(G.residue_matrix, factors), axis=1)
-
-
-def _prime_order_representatives(G: AbelianGroup, orders: np.ndarray) -> np.ndarray:
+def _prime_order_representatives(G: AbelianGroup) -> np.ndarray:
     """Residues of one generator of each subgroup of prime order, as rows.
 
     An element x of prime order p has coordinates c_j n_j / p with c_j in
@@ -263,6 +204,7 @@ def _prime_order_representatives(G: AbelianGroup, orders: np.ndarray) -> np.ndar
     above 1 that no smaller one divides are the primes dividing |G|, since
     each of those primes is an element order (Cauchy).
     """
+    orders = G.element_orders
     values = np.unique(orders[orders > 1])
     primes = [m for m in values if not (m % values[values < m] == 0).any()]
     res = G.residue_matrix
@@ -285,11 +227,7 @@ def _automorphism_batches(
     one generator of each such subgroup and rejects the candidate if any
     lands on 0.
     """
-    if G.order > AUT_MAX_ORDER:
-        raise AutEnumerationError(
-            f"enumeration infeasible: order {G.order} exceeds {AUT_MAX_ORDER}"
-        )
-    orders = _element_orders(G)
+    orders = G.element_orders
     # Per generator position, the elements whose order divides the modulus.
     allowed = [np.nonzero(n % orders == 0)[0] for n in G.factors]
     total = prod(len(a) for a in allowed)
@@ -300,7 +238,7 @@ def _automorphism_batches(
         )
     k = G.rank
     res = G.residue_matrix
-    reps = _prime_order_representatives(G, orders)
+    reps = _prime_order_representatives(G)
 
     sizes = [len(a) for a in allowed]
     radix = np.ones(k, dtype=np.int64)
@@ -324,16 +262,3 @@ def _automorphism_batches(
         if ok.any():
             yield img_idx[ok], mats[ok]
 
-
-def enumerate_automorphisms(
-    G: AbelianGroup, batch_size: int = AUT_BATCH_SIZE
-) -> Iterator[GroupAutomorphism]:
-    """Every automorphism of G exactly once, in deterministic candidate order."""
-    elems = G.elements()
-    for img_idx, _mats in _automorphism_batches(G, batch_size):
-        for row in img_idx:
-            yield GroupAutomorphism(G, tuple(elems[i] for i in row))
-
-
-def count_automorphisms(G: AbelianGroup) -> int:
-    return sum(len(img_idx) for img_idx, _ in _automorphism_batches(G))

@@ -478,7 +478,7 @@ def _spectral_rank_screen(
     g1: DenseGraph, g2: DenseGraph, params: SrgParams
 ) -> Optional[IsoDecision]:
     """mod_p_rank(A - s*I) for primes p dividing r - s (square-discriminant SRGs)."""
-    pair = params.eigenvalues().integer_pair
+    pair = params.integer_eigenvalues
     if pair is None:
         return None
     _, s = pair
@@ -561,21 +561,20 @@ def are_isomorphic(
     time_budget: Optional[float] = None,
     aut_perms: Optional[list] = None,
     force_search: bool = False,
-    deep_refinement: Optional[bool] = None,
 ) -> IsoDecision:
     """Complete isomorphism decider with certificates.
 
     aut_perms: optional known automorphisms of g2, verified (ValueError when
     one is not) before any screen, that collapse the root branching to orbit
     representatives.  force_search skips the invariant screens and the probe
-    (test mode).  deep_refinement defaults to on when g1 is strongly regular.
+    (test mode).  Refinement runs its deep step when g1 is strongly regular.
     node_budget and time_budget bound the probe and then the full search.
     """
     if g1.n != g2.n:
         return _refutation("vertex-count", (g1.n, g2.n), "vertex count")
     root = _verified_orbit_minima(g2, aut_perms) if aut_perms is not None else None
     srg1 = check_srg(g1)
-    deep = deep_refinement if deep_refinement is not None else srg1.is_srg
+    deep = srg1.is_srg
     if not force_search:
         refuted = _fingerprint_screen(g1, g2, _CHEAP_FIELDS)
         if refuted is not None:

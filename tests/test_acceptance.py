@@ -25,6 +25,7 @@ from cayleycert.groupalgebra import (
 from cayleycert.groups import AbelianGroup
 from cayleycert.iso import are_isomorphic
 
+from test_groups import oracle_elements, oracle_neg
 from test_iso import oracle_isomorphic
 
 
@@ -36,12 +37,12 @@ def report(criterion: str, started: float, bound: float) -> None:
 
 def random_inverse_closed(G, rng):
     elems = set()
-    for g in G.elements():
+    for g in oracle_elements(G):
         if g == G.identity or g in elems:
             continue
         if rng.random() < 0.5:
             elems.add(g)
-            elems.add(G.neg(g))
+            elems.add(oracle_neg(G, g))
     return elems
 
 

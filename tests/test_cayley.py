@@ -19,15 +19,17 @@ from cayleycert.families import davis, paley
 from cayleycert.graphs import DenseGraph, complement, is_connected
 from cayleycert.groups import AbelianGroup
 
+from test_groups import oracle_add, oracle_elements, oracle_neg
+
 
 def random_inverse_closed(G: AbelianGroup, rng: random.Random) -> ConnectionSet:
     elems = set()
-    for g in G.elements():
+    for g in oracle_elements(G):
         if g == G.identity or g in elems:
             continue
         if rng.random() < 0.5:
             elems.add(g)
-            elems.add(G.neg(g))
+            elems.add(oracle_neg(G, g))
     return validate_connection_set(G, elems)
 
 
@@ -55,7 +57,7 @@ def reference_generates_group(conn: ConnectionSet) -> bool:
         nxt = []
         for x in frontier:
             for s in gens:
-                y = G.add(x, s)
+                y = oracle_add(G, x, s)
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -85,7 +87,11 @@ class TestValidation:
         Z7 = AbelianGroup((7,))
         with pytest.raises(InvalidConnectionSetError) as exc:
             validate_connection_set(Z7, [(0,), (1,), (2,)])
-        assert len(exc.value.violations) == 3
+        assert exc.value.violations == [
+            "identity element present",
+            "(1,) present but -(1,) = (6,) absent",
+            "(2,) present but -(2,) = (5,) absent",
+        ]
 
     def test_out_of_range_element(self):
         Z5 = AbelianGroup((5,))
@@ -132,6 +138,13 @@ class TestBuild:
             sets += [validate_connection_set(G, []), random_inverse_closed(G, rng)]
         for conn in sets:
             assert build_cayley(conn).rows == reference_build_cayley(conn)
+
+
+    def test_order_budget_checked_before_allocating(self):
+        # a ConnectionSet built directly skips validation and its tables
+        conn = ConnectionSet(AbelianGroup((1000000007,)), frozenset({(1,), (1000000006,)}))
+        with pytest.raises(ValueError, match="group order 1000000007 exceeds the desk-scale budget"):
+            build_cayley(conn)
 
 
 class TestComplementSet:

@@ -285,6 +285,20 @@ class TestVerify:
         assert code == 2
         assert "absent" in err
 
+    def test_inline_group_over_budget_exits_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--group", "Z1000000007", "--set", "1;1000000006", "--srg"
+        )
+        assert code == 2
+        assert "group order 1000000007 exceeds the desk-scale budget" in err
+
+    def test_set_file_group_over_budget_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "big.set"
+        p.write_text("group Z1000000007\n1\n1000000006\n")
+        code, _, err = run_cli(capsys, "verify", str(p), "--srg")
+        assert code == 2
+        assert "group order 1000000007 exceeds the desk-scale budget" in err
+
     def test_inline_product_group(self, capsys):
         code, out, _ = run_cli(
             capsys,

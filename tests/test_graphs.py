@@ -205,12 +205,12 @@ class TestCheckSrg:
         assert p.delta == 13  # conference: delta = n
         assert p.conference_t == 3
         assert p.count_identity_holds()
-        assert p.eigenvalues().integer_pair is None  # 13 is not a square
+        assert p.integer_eigenvalues is None  # 13 is not a square
 
     def test_eigenvalues_square_case(self):
         p = SrgParams(625, 312, 155, 156)
         assert p.delta == 625
-        assert p.eigenvalues().integer_pair == (12, -13)
+        assert p.integer_eigenvalues == (12, -13)
 
     def test_rejects_degenerates(self):
         assert check_srg(complete(5)).reason == "complete graph"
