@@ -56,9 +56,10 @@ def validate_connection_set(
             violations.append("identity element present")
         listed = sorted(elems)
         idx = [group.index_of(g) for g in listed]
+        neg = group.neg_table  # its build checks the order budget, before any allocation here
         present = np.zeros(group.order, dtype=bool)
         present[idx] = True
-        for g, minus in zip(listed, group.neg_table[idx].tolist()):
+        for g, minus in zip(listed, neg[idx].tolist()):
             if not present[minus]:
                 violations.append(f"{g} present but -{g} = {group.element_of(minus)} absent")
     if violations:

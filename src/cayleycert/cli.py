@@ -33,6 +33,7 @@ from .families import (
     peisert,
 )
 from .graphs import (
+    BudgetError,
     DenseGraph,
     check_order_budget,
     check_srg,
@@ -219,7 +220,7 @@ def _check_srg(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     else:
         out["reason"] = res.reason
         if res.witness is not None:
-            out["witness"] = json.loads(json.dumps(res.witness))
+            out["witness"] = res.witness
     return out
 
 
@@ -234,7 +235,7 @@ def _check_dr(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     else:
         out["reason"] = res.reason
         if res.witness is not None:
-            out["witness"] = json.loads(json.dumps(res.witness))
+            out["witness"] = res.witness
     return out
 
 
@@ -334,27 +335,39 @@ def _flags(checks) -> str:
     return "/".join(f"--{c.name}" for c in checks)
 
 
+def _argument_error(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with the verify arguments, checked before any input is
+    read, or None."""
+    if (args.group is None) != (args.set is None):
+        return "--group and --set must be given together"
+    if args.group is not None and args.input is not None:
+        return "give either an input file or --group/--set, not both"
+    if args.group is None and args.input is None:
+        return "no input (file argument or --group/--set)"
+    if not any(getattr(args, c.name) for c in CHECKS):
+        return f"no checks requested (use {_flags(CHECKS)})"
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: dict[str, float] = {}
+    problem = _argument_error(args)
+    if problem is not None:
+        _eprint(f"error: {problem}")
+        return EXIT_USAGE
     try:
-        if args.group or args.set:
-            if not (args.group and args.set):
-                raise ValueError("--group and --set must be given together")
-            if args.input is not None:
-                raise ValueError("give either an input file or --group/--set, not both")
+        if args.group is not None:
             graph, conn = _inline_connection_set(args.group, args.set)
-        elif args.input is not None:
-            graph, conn = _load_input(args.input, args.format)
         else:
-            raise ValueError("no input (file argument or --group/--set)")
+            graph, conn = _load_input(args.input, args.format)
+    except BudgetError as exc:
+        _eprint(f"error: {exc}")
+        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         _eprint(f"error: cannot read input: {exc}")
         return EXIT_USAGE
 
     requested = [c for c in CHECKS if getattr(args, c.name)]
-    if not requested:
-        _eprint(f"error: no checks requested (use {_flags(CHECKS)})")
-        return EXIT_USAGE
     if conn is None and any(c.needs_group for c in requested):
         _eprint(
             f"error: {_flags(c for c in CHECKS if c.needs_group)} need the group structure; "

@@ -1,17 +1,16 @@
 """Dense undirected simple graphs with exact structural certification.
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
-kernels work on it directly: the SRG check, the triangle count and the
-distance layers (float32 products of a block of 0/1 rows with the
-adjacency), the per-edge common-neighbourhood pass (one float32 product per
-vertex), the edge counts of the deep color refinement (one float32 product
-per color class), the odd-p ranks (lazily reduced elimination in int32 or
-int64, where the parameters of a strongly regular graph do not fix the rank)
-and the graph6 format.  The float32 products are exact because every value
-they form is an integer below 2^24.  Where a kernel needs them, the
-rows are also packed into Python ints, once per graph: the GF(2) rank is an
-XOR basis of those bit rows, and a BFS ORs them (the distances of graphs
-with a large eccentricity).
+kernels work on it directly: the SRG check and the distance layers (float32
+products of a block of 0/1 rows with the adjacency), one edges-inside
+product behind the triangle count, the per-edge common-neighbourhood pass
+and the deep color refinement, the odd-p ranks (lazily reduced elimination
+in int32 or int64, where the parameters of a strongly regular graph do not
+fix the rank) and the graph6 format.  The float32 products are exact
+because every value they form is an integer below 2^24.  Where a kernel
+needs them, the rows are also packed into Python ints, once per graph: the
+GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
+distances from vertex 0, and of graphs with a large eccentricity).
 Every result is exact; there is no floating-point spectral computation.
 """
 
@@ -37,10 +36,14 @@ ROW_BLOCK = 256
 LAYER_PRODUCT_LIMIT = 16384
 
 
+class BudgetError(ValueError):
+    """An order past MAX_ORDER: the input is refused, not misread."""
+
+
 def check_order_budget(kind: str, order: int) -> None:
-    """Raise ValueError when a {kind} of this order would exceed MAX_ORDER."""
+    """Raise BudgetError when a {kind} of this order would exceed MAX_ORDER."""
     if order > MAX_ORDER:
-        raise ValueError(f"{kind} order {order} exceeds the desk-scale budget {MAX_ORDER}")
+        raise BudgetError(f"{kind} order {order} exceeds the desk-scale budget {MAX_ORDER}")
 
 
 class DenseGraph:
@@ -147,30 +150,34 @@ def _pack_rows(graph: DenseGraph) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
-def _bits(mask: int):
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+def _edges_inside(R: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """e(G[X_i]) for each row i of R, where M is the float32 adjacency of G
+    on a vertex set and row i of R is the 0/1 indicator of X_i in that set.
+
+    Row i of R @ M, times R elementwise, sums to twice e(G[X_i]): each edge
+    inside X_i is seen from both ends.  The product is exact: every entry and
+    partial sum of R @ M is an integer at most n <= MAX_ORDER < 2^24, which
+    float32 holds in any summation order.  The elementwise product is cast
+    to int64 before its row sum, so that sum needs no bound.  An odd sum
+    raises SelfCheckError.
+    """
+    twice = ((R @ M) * R).sum(axis=1, dtype=np.int64)
+    odd = np.flatnonzero(twice & 1)
+    if odd.size:
+        raise SelfCheckError(f"odd edges-inside count {twice[odd[0]]} at row {odd[0]}")
+    return twice // 2
 
 
 def class_edge_counts(A: np.ndarray, colors: np.ndarray, k: int) -> np.ndarray:
     """out[v, c] = e(G[N(v) & X_c]), where A is the float32 adjacency of G and
     X_c holds the vertices of color c (0 <= c < k): the edges inside each
-    color class of each neighbourhood.
-
-    One product per class: with B = A[:, X_c], row v of (B @ A[X_c, X_c]) * B
-    sums to twice e(G[N(v) & X_c]), as diag(B^3) does in
-    _common_neighborhood_pass, and is exact for the same reason.
+    color class of each neighbourhood, one _edges_inside product per class.
     """
     out = np.empty((A.shape[0], k), dtype=np.int64)
     for c in range(k):
         X = np.flatnonzero(colors == c)
-        B = A[:, X]
-        out[:, c] = ((B @ A[np.ix_(X, X)]) * B).sum(axis=1, dtype=np.int64)
-    if (out & 1).any():
-        raise SelfCheckError("an edge count inside a color class was seen an odd number of times")
-    return out // 2
+        out[:, c] = _edges_inside(A[:, X], A[np.ix_(X, X)])
+    return out
 
 
 # --- structural parameters ----------------------------------------------------
@@ -333,34 +340,39 @@ def complement(graph: DenseGraph) -> DenseGraph:
     return DenseGraph(A)
 
 
-def _bfs_layers(graph: DenseGraph, source: int) -> list[int]:
-    """Bit masks of the distance spheres around source (layer[i] = sphere i)."""
-    visited = frontier = 1 << source
-    layers = [frontier]
-    while True:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= graph.rows[u]
-        nxt &= ~visited
-        if not nxt:
-            return layers
-        layers.append(nxt)
-        visited |= nxt
-        frontier = nxt
+def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
+    """dist[j, x], the distance from sources[j] to x (-1 when x is not
+    reached), by a bit-row BFS per source: each layer is the OR of the bit
+    rows of the layer before, minus the vertices already reached."""
+    rows = graph.rows
+    dist = np.full((len(sources), graph.n), -1, dtype=np.int32)
+    for j, s in enumerate(map(int, sources)):
+        row = [-1] * graph.n
+        visited = frontier = 1 << s
+        depth = 0
+        while frontier:
+            nxt = 0
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                row[u] = depth
+                nxt |= rows[u]
+                frontier ^= low
+            frontier = nxt & ~visited
+            visited |= frontier
+            depth += 1
+        dist[j] = row
+    return dist
 
 
-def _base_layers(graph: DenseGraph) -> list[int]:
-    """The layers of vertex 0, memoised for is_connected and for the choice
-    of distance kernel in _distance_blocks."""
-    return _bfs_layers(graph, 0)
+def _base_distances(graph: DenseGraph) -> np.ndarray:
+    """The distances from vertex 0, memoised for is_connected and for the
+    choice of distance kernel in _distance_blocks."""
+    return _bfs_layers(graph, [0])[0]
 
 
 def is_connected(graph: DenseGraph) -> bool:
-    layers = graph._memo(_base_layers)
-    reached = 0
-    for m in layers:
-        reached |= m
-    return reached == (1 << graph.n) - 1
+    return bool((graph._memo(_base_distances) >= 0).all())
 
 
 def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
@@ -376,7 +388,7 @@ def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
     layers.
     """
     n = graph.n
-    products = n * (len(graph._memo(_base_layers)) - 1) <= LAYER_PRODUCT_LIMIT
+    products = n * int(graph._memo(_base_distances).max()) <= LAYER_PRODUCT_LIMIT
     if products and A is None:
         A = graph.adjacency().astype(np.float32)
     for start in range(0, n, ROW_BLOCK):
@@ -384,7 +396,7 @@ def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
         if products:
             yield sources, _product_distances(A, sources)
         else:
-            yield sources, _bfs_distances(graph, sources)
+            yield sources, _bfs_layers(graph, sources)
 
 
 def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -403,29 +415,6 @@ def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
         depth += 1
         dist[layer] = depth
         unreached &= ~layer
-    return dist
-
-
-def _bfs_distances(graph: DenseGraph, sources: np.ndarray) -> np.ndarray:
-    """The same distances by a bit-row BFS per source, as in _bfs_layers."""
-    rows = graph.rows
-    dist = np.full((len(sources), graph.n), -1, dtype=np.int32)
-    for j, s in enumerate(sources.tolist()):
-        row = [-1] * graph.n
-        visited = frontier = 1 << s
-        depth = 0
-        while frontier:
-            nxt = 0
-            while frontier:
-                low = frontier & -frontier
-                u = low.bit_length() - 1
-                row[u] = depth
-                nxt |= rows[u]
-                frontier ^= low
-            frontier = nxt & ~visited
-            visited |= frontier
-            depth += 1
-        dist[j] = row
     return dist
 
 
@@ -606,8 +595,8 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
 def triangle_count(graph: DenseGraph) -> int:
     """Exact triangle count without the per-edge pass, once per graph: n k
     lam / 6 from the memoised check_srg when the graph is strongly regular,
-    else trace(A^3) / 6 from row-block float32 products A[rows] @ A, exact as
-    in _check_srg, whose elementwise product with A[rows] is summed in int64."""
+    else the sum over v of e(G[N(v)]), which sees each triangle from its 3
+    corners, by _edges_inside on blocks of ROW_BLOCK rows of A."""
     return graph._memo(_triangle_count)
 
 
@@ -617,13 +606,12 @@ def _triangle_count(graph: DenseGraph) -> int:
         n, k, lam, _mu = srg.params.as_tuple()
         return n * k * lam // 6
     A = graph.adjacency().astype(np.float32)
-    trace = 0
+    tri3 = 0
     for start in range(0, graph.n, ROW_BLOCK):
-        rows = A[start : start + ROW_BLOCK]
-        trace += int(((rows @ A) * rows).sum(dtype=np.int64))
-    if trace % 6:
-        raise SelfCheckError(f"trace(A^3) = {trace} is not a multiple of 6")
-    return trace // 6
+        tri3 += int(_edges_inside(A[start : start + ROW_BLOCK], A).sum())
+    if tri3 % 3:
+        raise SelfCheckError(f"the neighbourhood edge counts sum to {tri3}, not a multiple of 3")
+    return tri3 // 3
 
 
 def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:
@@ -632,12 +620,8 @@ def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int],
 
     One small matrix product per vertex u: B is the float32 adjacency of
     G[N(u)], so row v of B is the indicator of N(u) & N(v) inside N(u).  Its
-    row sum is |N(u) & N(v)|, and diag(B^3) at v, the row sum of
-    (B @ B) * B at v, sees every edge of G[N(u) & N(v)] twice.  The product
-    is exact: every entry and every partial sum of B @ B is an integer at
-    most k < MAX_ORDER < 2^24, which float32 represents exactly in any
-    summation order.  The elementwise product is cast to int64 before its row
-    sum, so that sum needs no bound.
+    row sum is |N(u) & N(v)|, and _edges_inside of the rows v > u counts the
+    edges of G[N(u) & N(v)].
     """
     A = graph.adjacency()
     counts: Counter[tuple[int, int]] = Counter()
@@ -646,10 +630,7 @@ def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int],
         B = A[nbrs][:, nbrs].astype(np.float32)
         upper = B[nbrs > u]
         common = upper.sum(axis=1, dtype=np.int64)
-        twice = ((upper @ B) * upper).sum(axis=1, dtype=np.int64)
-        if (twice & 1).any():
-            raise SelfCheckError(f"odd diag(B^3) in the neighbourhood of vertex {u}")
-        counts.update(zip(common.tolist(), (twice // 2).tolist()))
+        counts.update(zip(common.tolist(), _edges_inside(upper, B).tolist()))
     return tuple(sorted(counts.items()))
 
 
@@ -808,8 +789,9 @@ def from_graph6(text: str) -> DenseGraph:
     else:
         n = ord(s[0]) - 63
         body = s[1:]
-    if not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"graph6 vertex count {n} outside budget 1..{MAX_ORDER}")
+    if n < 1:
+        raise ValueError(f"graph6 vertex count {n} is not positive")
+    check_order_budget("graph", n)
     pairs = n * (n - 1) // 2
     need = (pairs + 5) // 6
     if len(body) != need:

@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
+from typing import ClassVar, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,18 +93,12 @@ class IsoCertificate:
             out["generator_images"] = [list(g) for g in self.automorphism.generator_images]
         if self.invariant is not None:
             out["invariant"] = self.invariant
-            out["values"] = [_jsonable(v) for v in self.values]
+            out["values"] = list(self.values)
         if self.kind in ("search-exhausted", "vertex-bijection", "undecided"):
             out["search_nodes"] = self.nodes
         if self.scanned is not None:
             out["automorphisms_scanned"] = self.scanned
         return out
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 @dataclass(frozen=True)
@@ -138,15 +132,10 @@ class Fingerprint:
     mod_ranks: tuple[tuple[tuple[int, int], int], ...]
     distance_distribution: tuple
 
-    FIELDS = (
-        "n",
-        "degrees",
-        "srg",
-        "triangles",
-        "four_cliques",
-        "mod_ranks",
-        "distance_distribution",
-    )
+    FIELDS: ClassVar[tuple[str, ...]]  # the field names in order
+
+
+Fingerprint.FIELDS = tuple(f.name for f in dataclass_fields(Fingerprint))
 
 
 def _srg_params(graph: DenseGraph) -> Optional[tuple[int, int, int, int]]:
@@ -608,24 +597,11 @@ def is_self_complementary(
     degrees = graph.degrees()
     if len(set(degrees)) == 1 and n > 1 and n % 4 != 1:
         # k-regular self-complementary graphs have n = 1 mod 4
-        return IsoDecision(
-            False,
-            IsoCertificate(
-                kind="invariant-refutation", invariant="regular-vertex-count-mod-4",
-                values=(n, n % 4),
-            ),
-            "regularity precheck",
-        )
+        return _refutation("regular-vertex-count-mod-4", (n, n % 4), "regularity precheck")
     m = graph.edge_count()
     total = n * (n - 1) // 2
     if 2 * m != total:
-        return IsoDecision(
-            False,
-            IsoCertificate(
-                kind="invariant-refutation", invariant="edge-count", values=(m, total - m)
-            ),
-            "edge-count precheck",
-        )
+        return _refutation("edge-count", (m, total - m), "edge-count precheck")
     comp = complement(graph)
     aut_perms = None
     if hint is not None:

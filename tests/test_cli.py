@@ -286,18 +286,51 @@ class TestVerify:
         assert "absent" in err
 
     def test_inline_group_over_budget_exits_2(self, capsys):
-        code, _, err = run_cli(
-            capsys, "verify", "--group", "Z1000000007", "--set", "1;1000000006", "--srg"
-        )
-        assert code == 2
-        assert "group order 1000000007 exceeds the desk-scale budget" in err
+        # 2^40 elements: a table of that order cannot even be allocated
+        for n in (1000000007, 2**40):
+            argv = ["verify", "--group", f"Z{n}", "--set", f"1;{n - 1}", "--srg"]
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert err == f"error: group order {n} exceeds the desk-scale budget 4096\n"
 
     def test_set_file_group_over_budget_exits_2(self, capsys, tmp_path):
-        p = tmp_path / "big.set"
-        p.write_text("group Z1000000007\n1\n1000000006\n")
-        code, _, err = run_cli(capsys, "verify", str(p), "--srg")
-        assert code == 2
-        assert "group order 1000000007 exceeds the desk-scale budget" in err
+        for n in (1000000007, 2**40):
+            p = tmp_path / "big.set"
+            p.write_text(f"group Z{n}\n1\n{n - 1}\n")
+            code, _, err = run_cli(capsys, "verify", str(p), "--srg")
+            assert code == 2
+            assert err == f"error: group order {n} exceeds the desk-scale budget 4096\n"
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["--group", "Z5"], "--group and --set must be given together"),
+            (["--set", "1;4"], "--group and --set must be given together"),
+            (["/nonexistent.g6", "--set", ""], "--group and --set must be given together"),
+            (["/nonexistent.g6", "--group", "Z5", "--set", "1;4"],
+             "give either an input file or --group/--set, not both"),
+            ([], "no input (file argument or --group/--set)"),
+            (["/nonexistent.g6"],
+             "cannot read input: [Errno 2] No such file or directory: '/nonexistent.g6'"),
+            (["{tmp}/big.g6"], "graph order 5000 exceeds the desk-scale budget 4096"),
+            (["{tmp}/big.txt"], "graph order 5001 exceeds the desk-scale budget 4096"),
+        ],
+    )
+    def test_input_error_messages(self, capsys, tmp_path, argv, err):
+        """The arguments are checked before any input is read; only I/O and
+        parse failures carry the "cannot read input:" prefix."""
+        (tmp_path / "big.g6").write_text("~@MG\n")  # the graph6 header of n = 5000
+        (tmp_path / "big.txt").write_text("0 5000\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run_cli(capsys, "verify", *argv, "--srg") == (2, "", f"error: {err}\n")
+
+    def test_empty_connection_set_is_accepted(self, capsys, tmp_path):
+        (tmp_path / "z5.set").write_text("group Z5\n")
+        for source in (["--group", "Z5", "--set", ""], ["--group", "Z5", "--set", ";"],
+                       [str(tmp_path / "z5.set")]):
+            code, out, _ = run_cli(capsys, "verify", *source, "--invariants")
+            assert code == 0
+            assert (json.loads(out)["vertices"], json.loads(out)["edges"]) == (5, 0)
 
     def test_inline_product_group(self, capsys):
         code, out, _ = run_cli(

@@ -415,6 +415,10 @@ class TestEdgesInsideKernel:
                 mask = sum(1 << v for v in members)
                 want = sum(1 for a, b in itertools.combinations(members, 2) if g.has_edge(a, b))
                 assert _edges_inside(g.rows, mask) == want
+                A = g.adjacency().astype(np.float32)
+                R = np.zeros((1, g.n), dtype=np.float32)
+                R[0, members] = 1
+                assert graphs._edges_inside(R, A).tolist() == [want]
 
     def test_profile_and_four_cliques(self):
         for g in self.corpus():
@@ -493,7 +497,8 @@ class TestCommonNeighborhoodPass:
             [sys.executable, "-O", "-c", ODD_DIAGONAL_FAULT], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert "odd diag(B^3)" in proc.stdout
+        # the one-way arcs 1->2, 2->3 and 1->3 in N(0) leave row 0 (vertex 1) the odd sum 1
+        assert proc.stdout == "odd edges-inside count 1 at row 0\n"
 
 
 def reference_check_srg(g):
@@ -536,23 +541,38 @@ def reference_check_srg(g):
     return SrgResult(SrgParams(n, k, lam, mu))
 
 
+def to_networkx(g):
+    return nx.from_numpy_array(g.adjacency())
+
+
+def nx_layers(G, s):
+    """Bit masks of the distance spheres around s (mask i = sphere i), from
+    networkx's BFS, which shares no code with the kernels under test."""
+    dist = nx.single_source_shortest_path_length(G, s)
+    layers = [0] * (max(dist.values()) + 1)
+    for x, i in dist.items():
+        layers[i] |= 1 << x
+    return layers
+
+
 def reference_intersection_array(g):
-    """The per-source loop intersection_array replaced: a bit-mask BFS from
-    every source and two popcounts per vertex."""
+    """The per-source loop intersection_array replaced: a BFS from every
+    source and two popcounts per vertex."""
     n = g.n
     degs = g.degrees()
     k = degs[0]
     for u in range(1, n):
         if degs[u] != k:
             return DistanceRegularResult(None, "not regular", (0, u, k, degs[u]))
-    base_layers = graphs._bfs_layers(g, 0)
+    G = to_networkx(g)
+    base_layers = nx_layers(G, 0)
     if sum(base_layers) != (1 << n) - 1:
         return DistanceRegularResult(None, "disconnected", None)
     d = len(base_layers) - 1
     bs = [None] * d
     cs = [None] * d
     for s in range(n):
-        layers = graphs._bfs_layers(g, s)
+        layers = nx_layers(G, s)
         if len(layers) - 1 != d:
             return DistanceRegularResult(
                 None, "eccentricity not constant", (0, d, s, len(layers) - 1)
@@ -581,10 +601,9 @@ def reference_intersection_array(g):
 
 
 def reference_sphere_sizes(g):
-    """The per-source bit-mask BFS sphere_sizes replaced."""
-    return tuple(
-        tuple(m.bit_count() for m in graphs._bfs_layers(g, s)) for s in range(g.n)
-    )
+    """The per-source BFS sphere_sizes replaced."""
+    G = to_networkx(g)
+    return tuple(tuple(m.bit_count() for m in nx_layers(G, s)) for s in range(g.n))
 
 
 def hypercube(d):
@@ -683,16 +702,17 @@ class TestBlockKernels:
 
     def test_kernel_choice(self, monkeypatch):
         used = []
-        for name in ("_product_distances", "_bfs_distances"):
+        for name in ("_product_distances", "_bfs_layers"):
             kernel = getattr(graphs, name)
             monkeypatch.setattr(graphs, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
         for g in (cycle(100), paley_graph(257), cycle(200), path(150)):
+            assert is_connected(g)  # the memoised BFS from vertex 0 runs here
             used.clear()
             graphs._sphere_sizes(g)
-            n_ecc = g.n * (len(graphs._bfs_layers(g, 0)) - 1)
-            want = "_product_distances" if n_ecc <= graphs.LAYER_PRODUCT_LIMIT else "_bfs_distances"
+            n_ecc = g.n * (len(nx_layers(to_networkx(g), 0)) - 1)
+            want = "_product_distances" if n_ecc <= graphs.LAYER_PRODUCT_LIMIT else "_bfs_layers"
             assert set(used) == {want}
-        assert used == ["_bfs_distances"]  # path(150): 150 * 149 > LAYER_PRODUCT_LIMIT
+        assert used == ["_bfs_layers"]  # path(150): 150 * 149 > LAYER_PRODUCT_LIMIT
 
     @pytest.mark.parametrize("limit", [-1, 10**9], ids=["bfs", "products"])
     def test_against_loops_across_block_edges(self, monkeypatch, limit):

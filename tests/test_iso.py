@@ -250,7 +250,9 @@ class TestFingerprint:
 
         sources, passes = [], []
         bfs, blocks = graphs._bfs_layers, graphs._distance_blocks
-        monkeypatch.setattr(graphs, "_bfs_layers", lambda g, s: sources.append(s) or bfs(g, s))
+        monkeypatch.setattr(
+            graphs, "_bfs_layers", lambda g, s: sources.append(list(s)) or bfs(g, s)
+        )
         monkeypatch.setattr(graphs, "_distance_blocks", lambda g, A=None: passes.append(g) or blocks(g, A))
         g = build_cayley(paley(13).connection_set)
         fingerprint(g)
@@ -258,10 +260,10 @@ class TestFingerprint:
         h = complement(g)
         fingerprint(h)
         assert graphs.diameter(h) == 2
-        # the layers of vertex 0 once per graph (memoised for check_srg's
+        # the BFS from vertex 0 once per graph (memoised for check_srg's
         # connectivity test and the distance kernel's choice), then one
         # all-source distance pass per graph
-        assert sources == [0, 0]
+        assert sources == [[0], [0]]
         assert len(passes) == 2 and passes[0] is g and passes[1] is h
 
 
