@@ -8,6 +8,7 @@ the set makes the relation symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -36,8 +37,23 @@ class ConnectionSet:
         return len(self.elements)
 
     def indices(self) -> list[int]:
-        """Sorted vertex indices of the set elements."""
-        return sorted(self.group.index_of(g) for g in self.elements)
+        """Sorted vertex indices of the set elements, a fresh list (a tuple
+        would index a numpy array as one multi-axis index)."""
+        return list(self._indices)
+
+    @cached_property
+    def _indices(self) -> tuple[int, ...]:
+        """residues @ index_weights, once per set.  An element that is not a
+        reduced residue tuple raises ValueError, as index_of does."""
+        G = self.group
+        try:
+            res = np.array(list(self.elements), dtype=np.int64).reshape(self.size, G.rank)
+        except (ValueError, OverflowError):  # ragged, wrong length or out of int64
+            res = None
+        if res is None or ((res < 0) | (res >= np.array(G.factors))).any():
+            for g in self.elements:
+                G.index_of(g)
+        return tuple(np.sort(res @ G.index_weights).tolist())
 
     def __contains__(self, g: GroupElement) -> bool:
         return g in self.elements
@@ -48,35 +64,51 @@ def validate_connection_set(
 ) -> ConnectionSet:
     """Check identity-freeness and closure under negation; report every violation."""
     elems = frozenset(tuple(g) for g in elements)
-    violations = [
-        f"{g} is not a reduced element of {group}" for g in sorted(elems) if not group.contains(g)
-    ]
-    if not violations:
-        if group.identity in elems:
-            violations.append("identity element present")
-        listed = sorted(elems)
-        idx = [group.index_of(g) for g in listed]
-        neg = group.neg_table  # its build checks the order budget, before any allocation here
-        present = np.zeros(group.order, dtype=bool)
-        present[idx] = True
-        for g, minus in zip(listed, neg[idx].tolist()):
-            if not present[minus]:
-                violations.append(f"{g} present but -{g} = {group.element_of(minus)} absent")
+    conn = ConnectionSet(group, elems)
+    try:
+        idx = np.array(conn.indices(), dtype=np.intp)
+    except ValueError:
+        bad = [g for g in sorted(elems) if not group.contains(g)]
+        raise InvalidConnectionSetError(
+            [f"{g} is not a reduced element of {group}" for g in bad]
+        ) from None
+    violations = ["identity element present"] if group.identity in elems else []
+    neg = group.neg_table[idx]  # its build checks the order budget, before any allocation here
+    present = np.zeros(group.order, dtype=bool)
+    present[idx] = True
+    absent = np.flatnonzero(~present[neg]).tolist()
+    if absent:
+        listed = sorted(elems)  # reduced tuples sort in index order
+        for i in absent:
+            g = listed[i]
+            violations.append(f"{g} present but -{g} = {group.element_of(int(neg[i]))} absent")
     if violations:
         raise InvalidConnectionSetError(violations)
-    return ConnectionSet(group, elems)
+    return conn
 
 
 def build_cayley(conn: ConnectionSet) -> DenseGraph:
-    """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular."""
+    """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular
+    and marked vertex-transitive, as the translations are automorphisms.
+
+    A[i, j] is the indicator of S at g_j - g_i, gathered from that indicator
+    shaped as G.factors: factor p contributes the small table (j_p - i_p) mod
+    n_p, broadcast along its own axis of i and of j.
+    """
     G = conn.group
     n = G.order
     check_order_budget("group", n)
-    A = np.zeros((n, n), dtype=bool)
-    s_idx = conn.indices()
-    if s_idx:
-        A[np.arange(n)[:, None], G.add_table[:, s_idx]] = True
-    return DenseGraph(A)
+    indicator = np.zeros(n, dtype=np.uint8)
+    indicator[conn.indices()] = 1
+    k = G.rank
+    diffs = []
+    for p, m in enumerate(G.factors):
+        shape = [1] * (2 * k)
+        shape[p] = shape[k + p] = m
+        r = np.arange(m)
+        diffs.append(((r[None, :] - r[:, None]) % m).reshape(shape))
+    A = indicator.reshape(G.factors)[tuple(diffs)].reshape(n, n)
+    return DenseGraph(A, vertex_transitive=True)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
@@ -104,10 +136,9 @@ def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
 
 def connection_set_to_text(conn: ConnectionSet) -> str:
     """Header "group Z9xZ9", then one comma-separated element tuple per line."""
-    lines = [f"group {conn.group}"]
-    for g in sorted(conn.elements, key=conn.group.index_of):
-        lines.append(",".join(map(str, g)))
-    return "\n".join(lines) + "\n"
+    G = conn.group
+    rows = G.residue_matrix[conn.indices()].tolist()
+    return "\n".join([f"group {G}"] + [",".join(map(str, g)) for g in rows]) + "\n"
 
 
 def connection_set_from_text(text: str) -> ConnectionSet:

@@ -48,9 +48,14 @@ def check_order_budget(kind: str, order: int) -> None:
 
 class DenseGraph:
     """Undirected simple graph, stored as its read-only n x n 0/1 uint8
-    adjacency matrix.  DenseGraph(A) checks A and keeps a copy of it."""
+    adjacency matrix.  DenseGraph(A) checks A and keeps a copy of it.
 
-    def __init__(self, A):
+    vertex_transitive=True is a fact the caller guarantees, not one checked
+    here: Aut(G) moves vertex 0 to every vertex.  The SRG and distance
+    kernels then stop after vertex 0.  Only build_cayley sets it, since the
+    translations of the group are automorphisms of every Cayley graph."""
+
+    def __init__(self, A, *, vertex_transitive: bool = False):
         A = np.asarray(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, not of shape {A.shape}")
@@ -67,6 +72,7 @@ class DenseGraph:
         A.setflags(write=False)
         self.n = n
         self._adjacency = A
+        self._vertex_transitive = bool(vertex_transitive)
         self._cache: dict = {}
 
     @classmethod
@@ -97,6 +103,10 @@ class DenseGraph:
         if compute not in self._cache:
             self._cache[compute] = compute(self)
         return self._cache[compute]
+
+    @property
+    def vertex_transitive(self) -> bool:
+        return self._vertex_transitive
 
     def adjacency(self) -> np.ndarray:
         """The stored read-only n x n uint8 adjacency matrix."""
@@ -130,7 +140,9 @@ class DenseGraph:
         if len(p) != self.n or not is_permutation(p):
             raise ValueError(f"{p.tolist()} is not a permutation of 0..{self.n - 1}")
         inverse = np.argsort(p)
-        return DenseGraph(self._adjacency[np.ix_(inverse, inverse)])
+        return DenseGraph(
+            self._adjacency[np.ix_(inverse, inverse)], vertex_transitive=self.vertex_transitive
+        )
 
 
 def _first_pair(bad: np.ndarray, message: str) -> None:
@@ -337,7 +349,7 @@ class DistanceRegularResult:
 def complement(graph: DenseGraph) -> DenseGraph:
     A = graph.adjacency() ^ 1
     np.fill_diagonal(A, 0)
-    return DenseGraph(A)
+    return DenseGraph(A, vertex_transitive=graph.vertex_transitive)
 
 
 def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
@@ -375,11 +387,20 @@ def is_connected(graph: DenseGraph) -> bool:
     return bool((graph._memo(_base_distances) >= 0).all())
 
 
-def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
-    """Yield (sources, dist) for each block of ROW_BLOCK sources, in source
-    order: dist[j, x] is the distance from sources[j] to x, -1 when x is not
-    reached.  A is the caller's float32 copy of the adjacency, if it has one;
-    otherwise the layer products make their own (64 MiB at n = 4096).
+def _source_stop(graph: DenseGraph) -> int:
+    """The sources 0, ..., stop - 1 that the SRG and distance kernels check:
+    vertex 0 alone on a vertex-transitive graph.  There an automorphism
+    takes any failing pair (i, j) or source s to a failing pair (0, j') or to
+    source 0, which comes first in row-major or source order, so the first
+    failure, and hence every witness, is the same as over all sources."""
+    return 1 if graph.vertex_transitive else graph.n
+
+
+def _distance_blocks(graph: DenseGraph, stop: int, A: Optional[np.ndarray] = None):
+    """Yield (sources, dist) for each block of ROW_BLOCK sources below stop,
+    in source order: dist[j, x] is the distance from sources[j] to x, -1 when
+    x is not reached.  A is the caller's float32 copy of the adjacency, if it
+    has one; otherwise the layer products make their own (64 MiB at n = 4096).
 
     Layer products cost about 2n flops per source, vertex and layer, so they
     are used only while n times the eccentricity of vertex 0 is at most
@@ -391,8 +412,8 @@ def _distance_blocks(graph: DenseGraph, A: Optional[np.ndarray] = None):
     products = n * int(graph._memo(_base_distances).max()) <= LAYER_PRODUCT_LIMIT
     if products and A is None:
         A = graph.adjacency().astype(np.float32)
-    for start in range(0, n, ROW_BLOCK):
-        sources = np.arange(start, min(start + ROW_BLOCK, n))
+    for start in range(0, stop, ROW_BLOCK):
+        sources = np.arange(start, min(start + ROW_BLOCK, stop))
         if products:
             yield sources, _product_distances(A, sources)
         else:
@@ -439,15 +460,16 @@ def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, 
 
 def sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     """Per source vertex, the sizes of its distance spheres (sphere 0 first),
-    from one all-source pass of the distance kernel per graph.  Sources with
-    the same sizes share one tuple, so a vertex-transitive graph keeps one."""
+    from one pass of the distance kernel per graph, over all sources or, on a
+    graph marked vertex-transitive, over vertex 0 alone.  Sources with the
+    same sizes share one tuple, so a vertex-transitive graph keeps one."""
     return graph._memo(_sphere_sizes)
 
 
 def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     out = []
     shared: dict = {}
-    for _sources, dist in _distance_blocks(graph):
+    for _sources, dist in _distance_blocks(graph, _source_stop(graph)):
         # one bincount: row j of dist counts into bins j * (n + 1) + (dist + 1)
         width = graph.n + 1
         offsets = width * np.arange(len(dist))[:, None]
@@ -455,7 +477,7 @@ def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
         counts = counts.reshape(len(dist), width)[:, 1 : int(dist.max()) + 2]
         sizes = (tuple(c for c in row if c) for row in counts.tolist())
         out.extend(shared.setdefault(t, t) for t in sizes)
-    return tuple(out)
+    return tuple(out) * (graph.n // len(out))  # source 0's tuple n times when marked
 
 
 def diameter(graph: DenseGraph) -> Optional[int]:
@@ -487,8 +509,9 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     ROW_BLOCK rows at a time, and compare the upper triangle with lam on edges
     and mu on non-edges.  lam and mu come from the first edge and the first
     non-edge in row-major order, and the witness is the first pair that
-    differs in that order.  The float32 product is exact for the reason given
-    in _product_distances.
+    differs in that order.  The rows stop at _source_stop, so a graph marked
+    vertex-transitive checks row 0 alone.  The float32 product is exact for
+    the reason given in _product_distances.
     """
     n = graph.n
     witness = _not_regular(graph)
@@ -508,8 +531,9 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     lam = int(np.count_nonzero(A[0] & A[v_lam]))
     mu = int(np.count_nonzero(A[0] & A[v_mu]))
     A32 = A.astype(np.float32)
-    for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
+    end = _source_stop(graph)
+    for start in range(0, end, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, end)
         # C[i, j] = |N(start + i) & N(start + j)|: only columns from start on
         # meet the upper triangle, and the diagonal is C[i, i].
         C = A32[start:stop] @ A32[:, start:]
@@ -544,7 +568,8 @@ def check_adjacency_identity(graph: DenseGraph, params: SrgParams) -> bool:
 
 
 def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
-    """Distance partition from every base vertex; b_i, c_i must be constant.
+    """Distance partition from every base vertex (vertex 0 alone on a graph
+    marked vertex-transitive); b_i, c_i must be constant.
 
     Source 0 fixes the diameter d and, at the first vertex of each of its
     layers, the reference b_i and c_i.  The witness is the first failure in
@@ -556,7 +581,7 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
         return DistanceRegularResult(None, "not regular", witness)
     k = graph.degree(0)
     A = graph.adjacency().astype(np.float32)
-    for sources, dist in _distance_blocks(graph, A):
+    for sources, dist in _distance_blocks(graph, _source_stop(graph), A):
         if sources[0] == 0 and (dist[0] < 0).any():
             return DistanceRegularResult(None, "disconnected", None)
         above, below = _layer_counts(A, dist, k)

@@ -15,8 +15,15 @@ from cayleycert.cayley import (
     lex_product,
     validate_connection_set,
 )
-from cayleycert.families import davis, paley
-from cayleycert.graphs import DenseGraph, complement, is_connected
+from cayleycert.families import davis, paley, peisert
+from cayleycert.graphs import (
+    DenseGraph,
+    check_srg,
+    complement,
+    intersection_array,
+    is_connected,
+    sphere_sizes,
+)
 from cayleycert.groups import AbelianGroup
 
 from test_groups import oracle_add, oracle_elements, oracle_neg
@@ -98,6 +105,35 @@ class TestValidation:
         with pytest.raises(InvalidConnectionSetError):
             validate_connection_set(Z5, [(7,)])
 
+    def test_every_unreduced_element_in_sorted_order(self):
+        Z5 = AbelianGroup((5,))
+        with pytest.raises(InvalidConnectionSetError) as exc:
+            validate_connection_set(Z5, [(7,), (1,), (-1,), (1, 2), (10**30,), (0,)])
+        assert exc.value.violations == [
+            f"{g} is not a reduced element of Z5" for g in [(-1,), (1, 2), (7,), (10**30,)]
+        ]
+
+    def test_direct_set_rejects_unreduced_residues(self):
+        Z5 = AbelianGroup((5,))
+        for elems in [{(5,)}, {(-1,)}, {(1, 0)}, {(1,), (1, 2)}, {(10**30,)}]:
+            conn = ConnectionSet(Z5, frozenset(elems))
+            with pytest.raises(ValueError, match="is not a reduced element of Z5"):
+                conn.indices()
+
+    def test_indices_without_index_of(self, monkeypatch):
+        # the set-up path indexes each set once, by residues @ index_weights
+        sets = [davis(3).connection_set, lex_product(paley(5).connection_set, paley(9).connection_set)]
+        expected = {conn: sorted(conn.group.index_of(g) for g in conn.elements) for conn in sets}
+        calls = []
+        index_of = AbelianGroup.index_of
+        monkeypatch.setattr(AbelianGroup, "index_of", lambda G, g: calls.append(g) or index_of(G, g))
+        for conn, idx in expected.items():
+            again = validate_connection_set(conn.group, conn.elements)
+            assert again.indices() == idx and again.indices() is not again.indices()
+            build_cayley(again)
+            connection_set_from_text(connection_set_to_text(again))
+        assert calls == []
+
     def test_empty_set_is_valid(self):
         Z5 = AbelianGroup((5,))
         conn = validate_connection_set(Z5, [])
@@ -133,7 +169,10 @@ class TestBuild:
     def test_rows_match_per_row_loop(self):
         rng = random.Random(61)
         sets = [davis(7).connection_set, davis(3).connection_set, paley(13).connection_set]
-        for factors in [(3,), (4,), (5,), (6,), (9,), (12,), (13,), (2, 4), (2, 6), (3, 3), (5, 5)]:
+        for factors in [
+            (3,), (4,), (5,), (6,), (9,), (12,), (13,), (2, 4), (2, 6), (3, 3), (5, 5),
+            (3, 3, 3, 3), (2, 2, 2), (9, 3),
+        ]:
             G = AbelianGroup(factors)
             sets += [validate_connection_set(G, []), random_inverse_closed(G, rng)]
         for conn in sets:
@@ -145,6 +184,53 @@ class TestBuild:
         conn = ConnectionSet(AbelianGroup((1000000007,)), frozenset({(1,), (1000000006,)}))
         with pytest.raises(ValueError, match="group order 1000000007 exceeds the desk-scale budget"):
             build_cayley(conn)
+
+
+def marked_corpus() -> list[ConnectionSet]:
+    """The families, two lexicographic products, seeded random sets, the
+    empty set and a set inside a proper subgroup, with every complement."""
+    rng = random.Random(67)
+    p5, p9, p13 = (paley(q).connection_set for q in (5, 9, 13))
+    sets = [paley(q).connection_set for q in (5, 13, 25, 29, 49, 81, 169)]
+    sets += [peisert(q).connection_set for q in (9, 49, 81)]
+    sets += [davis(3).connection_set, davis(5).connection_set]
+    sets += [lex_product(p5, p5), lex_product(p9, p13)]
+    for factors in [
+        (5,), (8,), (12,), (2, 2, 2), (2, 4), (3, 3), (4, 4), (3, 9), (3, 3, 3), (5, 5), (7, 7)
+    ]:
+        G = AbelianGroup(factors)
+        sets += [random_inverse_closed(G, rng) for _ in range(3)]
+    Z3x9 = AbelianGroup((3, 9))
+    sets.append(validate_connection_set(Z3x9, []))  # its complement is G minus 0: complete
+    sets.append(validate_connection_set(Z3x9, [(0, 3), (0, 6), (1, 0), (2, 0)]))  # disconnected
+    return sets + [complement_connection_set(c) for c in sets]
+
+
+class TestVertexTransitiveKernels:
+    def test_marked_graph_matches_dense_path(self):
+        """check_srg, intersection_array and sphere_sizes from vertex 0 alone
+        equal the all-pairs and all-sources kernels on an unmarked copy,
+        witnesses included."""
+        reasons = set()
+        for conn in marked_corpus():
+            g = build_cayley(conn)
+            plain = DenseGraph(g.adjacency())
+            assert g.vertex_transitive and not plain.vertex_transitive
+            srg, dr = check_srg(g), intersection_array(g)
+            assert srg == check_srg(plain)
+            assert dr == intersection_array(plain)
+            assert sphere_sizes(g) == sphere_sizes(plain)
+            reasons |= {srg.reason, dr.reason}
+        assert {
+            None,
+            "complete graph",
+            "disconnected",
+            "common-neighbor count not constant on edges",
+            "common-neighbor count not constant on non-edges",
+            "b_1 not constant",
+            "b_2 not constant",
+            "c_2 not constant",
+        } <= reasons
 
 
 class TestComplementSet:
@@ -256,6 +342,11 @@ class TestSetFileFormat:
         assert back.group == conn.group
         assert back.elements == conn.elements
         assert text.startswith("group Z13\n")
+
+    def test_text_lists_elements_in_index_order(self):
+        Z3x3 = AbelianGroup((3, 3))
+        conn = validate_connection_set(Z3x3, [(2, 0), (0, 1), (1, 0), (0, 2)])
+        assert connection_set_to_text(conn) == "group Z3xZ3\n0,1\n0,2\n1,0\n2,0\n"
 
     def test_round_trip_product_group(self):
         conn = davis(3).connection_set

@@ -738,6 +738,61 @@ class TestBlockKernels:
             graphs._check_srg(g)
 
 
+class TestVertexTransitiveMark:
+    """build_cayley marks its graphs vertex-transitive; relabel and complement
+    carry the mark, every other constructor leaves it off, and a marked graph
+    runs the SRG and distance kernels from vertex 0 alone."""
+
+    def test_only_build_cayley_marks(self):
+        g = paley_graph(13)
+        assert g.vertex_transitive
+        assert complement(g).vertex_transitive
+        assert g.relabel(list(range(12, -1, -1))).vertex_transitive
+        unmarked = [
+            DenseGraph(g.adjacency()),
+            DenseGraph.from_edges(g.n, g.edges()),
+            from_graph6(to_graph6(g)),
+            from_edge_list(to_edge_list(g)),
+        ]
+        for h in unmarked:
+            assert h == g and not h.vertex_transitive
+            assert not complement(h).vertex_transitive
+            assert not h.relabel(list(range(12, -1, -1))).vertex_transitive
+        with pytest.raises(AttributeError):
+            g.vertex_transitive = False
+
+    def test_one_source_zero_pass_per_marked_graph(self, monkeypatch):
+        passes = []
+        blocks = graphs._distance_blocks
+        monkeypatch.setattr(
+            graphs,
+            "_distance_blocks",
+            lambda g, stop, A=None: passes.append((g, stop)) or blocks(g, stop, A),
+        )
+        g = paley_graph(13)
+        h = complement(g)
+        plain = DenseGraph(g.adjacency())
+        for x in (g, h, plain):
+            assert sphere_sizes(x) == ((1, 6, 6),) * 13
+            assert intersection_array(x).array == IntersectionArray((6, 3), (1, 3))
+        # one source-0 pass per marked graph and kernel, all sources otherwise
+        assert [stop for _graph, stop in passes] == [1, 1, 1, 1, 13, 13]
+        assert all(y is x for (y, _stop), x in zip(passes, (g, g, h, h, plain, plain)))
+        sizes = sphere_sizes(g)
+        assert all(t is sizes[0] for t in sizes)  # source 0's tuple, shared
+
+    def test_mark_is_trusted_not_checked(self):
+        # late_join() first fails at row and source 8; marked, only vertex 0
+        # is read, so the refuted parameters and array come back certified
+        g = late_join()
+        marked = DenseGraph(g.adjacency(), vertex_transitive=True)
+        assert check_srg(g).witness[2] == (8, 9)
+        assert intersection_array(g).witness == (8, 10, 3, 2)
+        assert check_srg(marked).params == SrgParams(18, 14, 10, 14)
+        assert intersection_array(marked).array == IntersectionArray((14, 3), (1, 14))
+        assert sphere_sizes(marked) == (sphere_sizes(g)[0],) * 18
+
+
 class TestModPRank:
     def test_examples(self):
         assert mod_p_rank(cycle(5), 2) == 4

@@ -253,18 +253,25 @@ class TestFingerprint:
         monkeypatch.setattr(
             graphs, "_bfs_layers", lambda g, s: sources.append(list(s)) or bfs(g, s)
         )
-        monkeypatch.setattr(graphs, "_distance_blocks", lambda g, A=None: passes.append(g) or blocks(g, A))
+        monkeypatch.setattr(
+            graphs,
+            "_distance_blocks",
+            lambda g, stop, A=None: passes.append((g, stop)) or blocks(g, stop, A),
+        )
         g = build_cayley(paley(13).connection_set)
-        fingerprint(g)
-        assert graphs.diameter(g) == 2
         h = complement(g)
-        fingerprint(h)
-        assert graphs.diameter(h) == 2
+        plain = DenseGraph(g.adjacency())
+        for x in (g, h, plain):
+            fingerprint(x)
+            assert graphs.diameter(x) == 2
         # the BFS from vertex 0 once per graph (memoised for check_srg's
         # connectivity test and the distance kernel's choice), then one
-        # all-source distance pass per graph
-        assert sources == [[0], [0]]
-        assert len(passes) == 2 and passes[0] is g and passes[1] is h
+        # distance pass per graph: from source 0 alone on the Cayley graph and
+        # its complement, which are marked vertex-transitive, and from every
+        # source on the unmarked copy
+        assert sources == [[0], [0], [0]]
+        assert [stop for _graph, stop in passes] == [1, 1, 13]
+        assert all(y is x for (y, _stop), x in zip(passes, (g, h, plain)))
 
 
 class TestRefinementInvariance:
