@@ -522,8 +522,8 @@ def _claim_order_feasibility() -> dict:
     }
 
 
-def _claim_davis5_decision() -> dict:
-    rep = davis(5)
+def _claim_davis_decision(p: int) -> dict:
+    rep = davis(p)
     g = build_cayley(rep.connection_set)
     d = is_self_complementary(g, hint=rep.connection_set, scan_automorphisms=False)
     cert = d.certificate
@@ -576,9 +576,11 @@ CLAIMS = (
     Claim("order-feasibility", "orders 81 and 9*5^4 feasible, 45 infeasible",
           "standard", _claim_order_feasibility, 5.0),
     Claim("davis5-decision", "davis(5) graph is NOT self-complementary (full decision, any sound path)",
-          "extended", _claim_davis5_decision, 1800.0),
+          "extended", lambda: _claim_davis_decision(5), 1800.0),
     Claim("davis5-fingerprint-agree", "davis(5) graph and its complement agree on every fingerprint field: degrees, SRG parameters, triangles, 4-cliques, mod-p ranks, distance distribution",
           "extended", _claim_davis5_fingerprint_agree, 1800.0),
+    Claim("davis7-decision", "davis(7) graph is NOT self-complementary (full decision, any sound path)",
+          "extended", lambda: _claim_davis_decision(7), 1800.0),
 )
 
 

@@ -2,12 +2,13 @@
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
 kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency), one edges-inside
-product behind the triangle count, the per-edge common-neighbourhood pass
-and the deep color refinement, the odd-p ranks (lazily reduced elimination
-in int32 or int64, where the parameters of a strongly regular graph do not
-fix the rank) and the graph6 format.  The float32 products are exact
-because every value they form is an integer below 2^24.  Where a kernel
+products of a block of 0/1 rows with the adjacency), one symmetric product
+per vertex behind the triangle and 4-clique counts, one edges-inside product
+behind the triangle count, the per-edge pass of the edge profile and the
+deep color refinement, the odd-p ranks (lazily reduced elimination in int32
+or int64, where the parameters of a strongly regular graph do not fix the
+rank) and the graph6 format.  The float32 products are exact because every
+value they form is an integer below 2^24.  Where a kernel
 needs them, the rows are also packed into Python ints, once per graph: the
 GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
 distances from vertex 0, and of graphs with a large eccentricity).
@@ -51,9 +52,10 @@ class DenseGraph:
     adjacency matrix.  DenseGraph(A) checks A and keeps a copy of it.
 
     vertex_transitive=True is a fact the caller guarantees, not one checked
-    here: Aut(G) moves vertex 0 to every vertex.  The SRG and distance
-    kernels then stop after vertex 0.  Only build_cayley sets it, since the
-    translations of the group are automorphisms of every Cayley graph."""
+    here: Aut(G) moves vertex 0 to every vertex.  The SRG, distance, clique
+    and per-edge kernels then stop after vertex 0.  Only build_cayley sets it,
+    since the translations of the group are automorphisms of every Cayley
+    graph."""
 
     def __init__(self, A, *, vertex_transitive: bool = False):
         A = np.asarray(A)
@@ -388,11 +390,12 @@ def is_connected(graph: DenseGraph) -> bool:
 
 
 def _source_stop(graph: DenseGraph) -> int:
-    """The sources 0, ..., stop - 1 that the SRG and distance kernels check:
-    vertex 0 alone on a vertex-transitive graph.  There an automorphism
-    takes any failing pair (i, j) or source s to a failing pair (0, j') or to
-    source 0, which comes first in row-major or source order, so the first
-    failure, and hence every witness, is the same as over all sources."""
+    """The sources 0, ..., stop - 1 that the SRG, distance and per-vertex
+    kernels visit: vertex 0 alone on a vertex-transitive graph.  There an
+    automorphism takes any failing pair (i, j) or source s to a failing pair
+    (0, j') or to source 0, which comes first in row-major or source order,
+    so the first failure, and hence every witness, is the same as over all
+    sources; _whole_graph scales the counts made at vertex 0."""
     return 1 if graph.vertex_transitive else graph.n
 
 
@@ -618,7 +621,7 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
 
 
 def triangle_count(graph: DenseGraph) -> int:
-    """Exact triangle count without the per-edge pass, once per graph: n k
+    """Exact triangle count without the clique kernel, once per graph: n k
     lam / 6 from the memoised check_srg when the graph is strongly regular,
     else the sum over v of e(G[N(v)]), which sees each triangle from its 3
     corners, by _edges_inside on blocks of ROW_BLOCK rows of A."""
@@ -639,35 +642,82 @@ def _triangle_count(graph: DenseGraph) -> int:
     return tri3 // 3
 
 
-def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Multiset over edges u < v of (|N(u) & N(v)|, e(G[N(u) & N(v)])), as
-    sorted ((count, edges), multiplicity) pairs.
+def _neighbourhoods(graph: DenseGraph):
+    """Yield (u, N(u)) for each vertex u below _source_stop: the vertices the
+    clique kernel and the per-edge pass visit."""
+    A = graph.adjacency()
+    for u in range(_source_stop(graph)):
+        yield u, np.flatnonzero(A[u])
 
-    One small matrix product per vertex u: B is the float32 adjacency of
-    G[N(u)], so row v of B is the indicator of N(u) & N(v) inside N(u).  Its
-    row sum is |N(u) & N(v)|, and _edges_inside of the rows v > u counts the
-    edges of G[N(u) & N(v)].
+
+def _whole_graph(graph: DenseGraph, count: int, size: int, what: str) -> int:
+    """The number of {what} in the graph, each on {size} vertices, from the
+    count a per-vertex kernel made at the vertices it visited.  Unmarked, each
+    is counted once, at its lowest vertex.  Marked vertex-transitive, vertex 0
+    counts those containing it; an automorphism taking 0 to u carries them
+    onto those containing u, so the graph holds n * count / size of them."""
+    if not graph.vertex_transitive:
+        return count
+    whole, rem = divmod(graph.n * count, size)
+    if rem:
+        raise SelfCheckError(f"{graph.n} x {count} {what} at vertex 0 is not a multiple of {size}")
+    return whole
+
+
+def _clique_counts(graph: DenseGraph) -> tuple[int, int]:
+    """(triangles, 4-cliques), from one symmetric product per visited vertex u.
+
+    H is the float32 adjacency of G[N+(u)], N+(u) the neighbours of u above u
+    (all of N(0) on a marked graph), and S = H @ H.T counts common neighbours
+    inside N+(u).  H sums to twice e(G[N+(u)]), the triangles whose lowest
+    vertex is u, and S * H to six times the triangles of G[N+(u)], the
+    4-cliques whose lowest vertex is u.  The product is exact for the reason
+    given in _edges_inside, and the sums are taken in int64; a sum that is not
+    a multiple of 2 or 6 raises SelfCheckError.
     """
     A = graph.adjacency()
-    counts: Counter[tuple[int, int]] = Counter()
-    for u in range(graph.n):
-        nbrs = np.flatnonzero(A[u])
-        B = A[nbrs][:, nbrs].astype(np.float32)
-        upper = B[nbrs > u]
-        common = upper.sum(axis=1, dtype=np.int64)
-        counts.update(zip(common.tolist(), _edges_inside(upper, B).tolist()))
-    return tuple(sorted(counts.items()))
+    twice = six = 0
+    for u, nbrs in _neighbourhoods(graph):
+        later = nbrs[nbrs > u]
+        H = A[later][:, later].astype(np.float32)
+        twice += int(H.sum(dtype=np.int64))
+        six += int(((H @ H.T) * H).sum(dtype=np.int64))
+    if twice % 2 or six % 6:
+        raise SelfCheckError(f"the clique sums {twice} and {six} are not multiples of 2 and 6")
+    return (
+        _whole_graph(graph, twice // 2, 3, "triangles"),
+        _whole_graph(graph, six // 6, 4, "4-cliques"),
+    )
 
 
 def invariant_counts(graph: DenseGraph) -> tuple[int, int, tuple[int, ...]]:
-    """(triangle count, 4-clique count, sorted degree multiset), all exact."""
-    tri3 = quad6 = 0  # every triangle is seen from 3 edges, every 4-clique from 6
-    for (common, inside), mult in graph._memo(_common_neighborhood_pass):
-        tri3 += common * mult
-        quad6 += inside * mult
-    if tri3 % 3 or quad6 % 6:
-        raise SelfCheckError(f"edge-wise sums {tri3} and {quad6} are not multiples of 3 and 6")
-    return tri3 // 3, quad6 // 6, tuple(sorted(graph.degrees()))
+    """(triangle count, 4-clique count, sorted degree multiset), all exact;
+    the counts come from the clique kernel, once per graph."""
+    triangles, four_cliques = graph._memo(_clique_counts)
+    return triangles, four_cliques, tuple(sorted(graph.degrees()))
+
+
+def _common_neighborhood_pass(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
+    """Multiset over edges u < v of e(G[N(u) & N(v)]), as sorted (value,
+    multiplicity) pairs.
+
+    One small matrix product per visited vertex u: B is the float32 adjacency
+    of G[N(u)], so row v of B is the indicator of N(u) & N(v) inside N(u), and
+    _edges_inside of the rows v > u counts the edges of G[N(u) & N(v)].  On a
+    graph marked vertex-transitive the edges at vertex 0 stand for all, each
+    multiplicity scaled by n / 2.  The multiplicities must sum to the edge
+    count, or SelfCheckError is raised.
+    """
+    A = graph.adjacency()
+    counts: Counter[int] = Counter()
+    for u, nbrs in _neighbourhoods(graph):
+        B = A[nbrs][:, nbrs].astype(np.float32)
+        counts.update(_edges_inside(B[nbrs > u], B).tolist())
+    profile = tuple(sorted((v, _whole_graph(graph, m, 2, "edges")) for v, m in counts.items()))
+    total = sum(mult for _value, mult in profile)
+    if total != graph.edge_count():
+        raise SelfCheckError(f"the edge profile counts {total} edges, not {graph.edge_count()}")
+    return profile
 
 
 def edge_neighborhood_edge_profile(graph: DenseGraph) -> tuple[tuple[int, int], ...]:
@@ -678,10 +728,7 @@ def edge_neighborhood_edge_profile(graph: DenseGraph) -> tuple[tuple[int, int], 
     value is one sixth of the weighted sum); separates same-parameter
     strongly regular graphs that agree on every counting and rank invariant.
     """
-    counts: Counter[int] = Counter()
-    for (_common, inside), mult in graph._memo(_common_neighborhood_pass):
-        counts[inside] += mult
-    return tuple(sorted(counts.items()))
+    return graph._memo(_common_neighborhood_pass)
 
 
 _INT64_MAX = 2**63 - 1

@@ -164,12 +164,12 @@ def _distance_distribution(graph: DenseGraph) -> tuple:
 
 
 def _four_cliques(graph: DenseGraph) -> int:
-    """The 4-clique count of the per-edge pass, whose triangle count must
+    """The 4-clique count of the clique kernel, whose triangle count must
     equal triangle_count's."""
     triangles, four_cliques, _degrees = invariant_counts(graph)
     if triangles != triangle_count(graph):
         raise SelfCheckError(
-            f"{triangles} triangles by the per-edge pass, {triangle_count(graph)} by product"
+            f"{triangles} triangles by the clique kernel, {triangle_count(graph)} by product"
         )
     return four_cliques
 

@@ -20,7 +20,9 @@ from cayleycert.graphs import (
     DenseGraph,
     check_srg,
     complement,
+    edge_neighborhood_edge_profile,
     intersection_array,
+    invariant_counts,
     is_connected,
     sphere_sizes,
 )
@@ -231,6 +233,15 @@ class TestVertexTransitiveKernels:
             "b_2 not constant",
             "c_2 not constant",
         } <= reasons
+
+    def test_per_vertex_counts_match_dense_path(self):
+        """The clique kernel and the per-edge pass at vertex 0, scaled up,
+        equal their all-vertex runs on an unmarked copy."""
+        for conn in marked_corpus():
+            g = build_cayley(conn)
+            plain = DenseGraph(g.adjacency())
+            assert invariant_counts(g) == invariant_counts(plain)
+            assert edge_neighborhood_edge_profile(g) == edge_neighborhood_edge_profile(plain)
 
 
 class TestComplementSet:

@@ -1,6 +1,7 @@
 """Dense graph certification: SRG checks, intersection arrays, invariants,
 mod-p ranks, and the graph6 / edge-list formats (graph6 against networkx)."""
 
+import inspect
 import itertools
 import json
 import random
@@ -289,22 +290,26 @@ class TestInvariantCounts:
         assert tri13 == 26  # n*k*lam/6 = 13*6*2/6
         assert quad13 == 0
 
-    def test_against_brute_force(self):
+    def corpus(self):
+        """Seeded random graphs of every density, the empty and complete
+        graphs, n = 1, isolated vertices and two components, with each
+        complement."""
         rng = random.Random(5)
-        for _ in range(8):
-            g = random_graph(rng.randrange(4, 11), 0.5, rng)
-            tri, quad, _ = invariant_counts(g)
-            tri_bf = sum(
-                1
-                for a, b, c in itertools.combinations(range(g.n), 3)
-                if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-            )
-            quad_bf = sum(
-                1
-                for quad_set in itertools.combinations(range(g.n), 4)
-                if all(g.has_edge(u, v) for u, v in itertools.combinations(quad_set, 2))
-            )
-            assert (tri, quad) == (tri_bf, quad_bf)
+        densities = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+        out = [random_graph(rng.randrange(2, 12), p, rng) for p in densities for _ in range(2)]
+        part = random_graph(8, 0.7, rng)
+        out.append(DenseGraph(np.pad(part.adjacency(), (0, 3))))  # 3 more, all isolated
+        two = np.zeros((11, 11), dtype=np.uint8)
+        two[:5, :5] = complete(5).adjacency()
+        two[5:, 5:] = random_graph(6, 0.8, rng).adjacency()
+        out += [DenseGraph(two), empty(1), empty(7), complete(8)]
+        return out + [complement(g) for g in out]
+
+    def test_against_brute_force(self):
+        for g in self.corpus():
+            tri, quad, degs = invariant_counts(g)
+            assert (tri, quad) == (brute_triangles(g), brute_four_cliques(g))
+            assert degs == tuple(sorted(g.degrees()))
 
     def test_srg_triangle_formula(self):
         for q in (5, 9, 13, 25):
@@ -320,9 +325,21 @@ class TestInvariantCounts:
         _, quad, _ = invariant_counts(g)
         assert sum(v * c for v, c in profile) == 6 * quad
 
+    def test_clique_checks_raise_under_optimization(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", CLIQUE_FAULTS], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the arcs leave H summing to 3 at vertex 0 and 1 at vertex 1, and
+        # S * H to 1 at vertex 0: the arc 1->2, whose ends share the arc to 3
+        assert proc.stdout.splitlines() == [
+            "the clique sums 4 and 1 are not multiples of 2 and 6",
+            "1 triangles by the clique kernel, 26 by product",
+        ]
+
 
 class TestTriangleCount:
-    """The SRG-parameter and trace(A^3) counts against the per-edge pass."""
+    """The SRG-parameter and edges-inside counts against the clique kernel."""
 
     def corpus(self):
         rng = random.Random(29)
@@ -335,7 +352,7 @@ class TestTriangleCount:
         srgs += [build_cayley(peisert(49).connection_set), build_cayley(davis(3).connection_set)]
         return out + [complement(g) for g in out], srgs + [complement(g) for g in srgs]
 
-    def test_against_the_per_edge_pass(self):
+    def test_against_the_clique_kernel(self):
         others, srgs = self.corpus()
         for g in others + srgs:
             assert triangle_count(g) == invariant_counts(g)[0]
@@ -347,14 +364,22 @@ class TestTriangleCount:
         monkeypatch.setattr(graphs, "check_srg", lambda g: SrgResult(None, "forced", None))
         assert [graphs._triangle_count(g) for g in srgs] == want
 
-    def test_mismatch_with_the_per_edge_pass_raises(self, monkeypatch):
+    def test_mismatch_with_the_clique_kernel_raises(self, monkeypatch):
         from cayleycert.iso import fingerprint
 
         g = paley_graph(13)
-        # a consistent pass (3 / 3 = 1 triangle) that disagrees with n k lam / 6 = 26
-        monkeypatch.setattr(graphs, "_common_neighborhood_pass", lambda graph: (((3, 0), 1),))
+        # 1 triangle from the kernel, which disagrees with n k lam / 6 = 26
+        monkeypatch.setattr(graphs, "_clique_counts", lambda graph: (1, 0))
         with pytest.raises(SelfCheckError, match="triangle"):
             fingerprint(g)
+
+
+def brute_triangles(g):
+    return sum(
+        1
+        for a, b, c in itertools.combinations(range(g.n), 3)
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+    )
 
 
 def brute_edge_profile(g):
@@ -426,10 +451,9 @@ class TestEdgesInsideKernel:
             assert invariant_counts(g)[1] == brute_four_cliques(g)
 
     def test_inconsistent_counts_raise(self, monkeypatch):
+        with pytest.raises(SelfCheckError, match="the clique sums 4 and 1"):
+            invariant_counts(one_way_triangle())
         g = paley_graph(13)
-        monkeypatch.setattr(graphs, "_common_neighborhood_pass", lambda graph: (((1, 0), 1),))
-        with pytest.raises(SelfCheckError):
-            invariant_counts(g)
         monkeypatch.setattr(SrgParams, "count_identity_holds", lambda self: False)
         with pytest.raises(SelfCheckError):
             check_srg(g)
@@ -456,22 +480,42 @@ def reference_pass(g):
     count per edge."""
     counts = Counter()
     for u, v in g.edges():
-        common = g.rows[u] & g.rows[v]
-        counts[common.bit_count(), _edges_inside(g.rows, common)] += 1
+        counts[_edges_inside(g.rows, g.rows[u] & g.rows[v])] += 1
     return tuple(sorted(counts.items()))
 
 
-ODD_DIAGONAL_FAULT = """
-import numpy as np
-from cayleycert import graphs
+def one_way_triangle():
+    """The star at vertex 0 plus one arc per edge of the triangle 1 2 3 in
+    N(0), set past the constructor, which rejects an asymmetric matrix."""
+    g = graphs.DenseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    faulty = np.zeros((4, 4), dtype=np.uint8)
+    faulty[0, 1:] = faulty[1:, 0] = 1
+    faulty[1, 2] = faulty[1, 3] = faulty[2, 3] = 1
+    g._adjacency = faulty
+    return g
 
-g = graphs.DenseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-faulty = np.zeros((4, 4), dtype=np.uint8)
-faulty[0, 1:] = faulty[1:, 0] = 1
-faulty[1, 2] = faulty[1, 3] = faulty[2, 3] = 1  # one arc per edge of the triangle in N(0)
-g._adjacency = faulty  # past the constructor, which rejects an asymmetric matrix
+
+FAULT_PRELUDE = "import numpy as np\nfrom cayleycert import graphs\n\n" + inspect.getsource(
+    one_way_triangle
+)
+
+ODD_DIAGONAL_FAULT = FAULT_PRELUDE + """
 try:
-    graphs._common_neighborhood_pass(g)
+    graphs._common_neighborhood_pass(one_way_triangle())
+except graphs.SelfCheckError as exc:
+    print(exc)
+"""
+
+CLIQUE_FAULTS = FAULT_PRELUDE + """
+from cayleycert import cayley, families, iso
+
+try:
+    graphs.invariant_counts(one_way_triangle())
+except graphs.SelfCheckError as exc:
+    print(exc)
+graphs._clique_counts = lambda graph: (1, 0)
+try:
+    iso.fingerprint(cayley.build_cayley(families.paley(13).connection_set))
 except graphs.SelfCheckError as exc:
     print(exc)
 """
@@ -791,6 +835,33 @@ class TestVertexTransitiveMark:
         assert check_srg(marked).params == SrgParams(18, 14, 10, 14)
         assert intersection_array(marked).array == IntersectionArray((14, 3), (1, 14))
         assert sphere_sizes(marked) == (sphere_sizes(g)[0],) * 18
+
+    def test_one_vertex_per_marked_graph_in_the_per_vertex_kernels(self, monkeypatch):
+        visits = []
+        neighbourhoods = graphs._neighbourhoods
+
+        def spy(g):
+            for u, nbrs in neighbourhoods(g):
+                visits.append((g, u))
+                yield u, nbrs
+
+        monkeypatch.setattr(graphs, "_neighbourhoods", spy)
+        g = paley_graph(13)
+        plain = DenseGraph(g.adjacency())
+        for x in (g, plain):
+            assert invariant_counts(x) == (26, 0, (6,) * 13)
+            assert edge_neighborhood_edge_profile(x) == ((0, 39),)
+        # the clique kernel, then the per-edge pass: vertex 0 when marked, all n otherwise
+        want = [(g, 0)] * 2 + [(plain, u) for u in range(13)] * 2
+        assert [(id(x), u) for x, u in visits] == [(id(x), u) for x, u in want]
+
+    def test_wrong_mark_fails_the_edge_profile_checks(self):
+        # vertex 0 of a path has one edge: n / 2 times it is 2 edges of P4,
+        # which has 3, and half an edge of P5
+        for g, message in ((path(4), "counts 2 edges, not 3"), (path(5), "not a multiple of 2")):
+            marked = DenseGraph(g.adjacency(), vertex_transitive=True)
+            with pytest.raises(SelfCheckError, match=message):
+                edge_neighborhood_edge_profile(marked)
 
 
 class TestModPRank:

@@ -598,8 +598,12 @@ class TestProbe:
         from cayleycert import graphs
 
         calls = []
-        rank, edge_pass = iso.mod_p_rank, graphs._common_neighborhood_pass
+        rank, cliques = iso.mod_p_rank, graphs._clique_counts
+        edge_pass = graphs._common_neighborhood_pass
         monkeypatch.setattr(iso, "mod_p_rank", lambda *a: calls.append("rank") or rank(*a))
+        monkeypatch.setattr(
+            graphs, "_clique_counts", lambda g: calls.append("kernel") or cliques(g)
+        )
         monkeypatch.setattr(
             graphs, "_common_neighborhood_pass", lambda g: calls.append("pass") or edge_pass(g)
         )
