@@ -55,9 +55,6 @@ class ConnectionSet:
                 G.index_of(g)
         return tuple(np.sort(res @ G.index_weights).tolist())
 
-    def __contains__(self, g: GroupElement) -> bool:
-        return g in self.elements
-
 
 def validate_connection_set(
     group: AbelianGroup, elements: Iterable[GroupElement]

@@ -346,6 +346,10 @@ def _argument_error(args: argparse.Namespace) -> Optional[str]:
         return "no input (file argument or --group/--set)"
     if not any(getattr(args, c.name) for c in CHECKS):
         return f"no checks requested (use {_flags(CHECKS)})"
+    if args.node_budget < 0:
+        return f"--node-budget must be >= 0, got {args.node_budget}"
+    if args.time_budget is not None and not args.time_budget >= 0:  # NaN too
+        return f"--time-budget must be >= 0, got {args.time_budget}"
     return None
 
 

@@ -4,8 +4,8 @@ identity checks.
 Every identity checked here is a product of subsets of G.  A subset is an
 index array into the group enumeration, and the product X*Y is the int64
 coefficient vector counting, for each w, the pairs (x, y) in X x Y with
-x + y = w: one add-table lookup and one exact integer count, with no
-transforms and no floating point.
+x + y = w: the pair sums, indexed one coordinate at a time, and one exact
+integer count, with no transforms and no floating point.
 """
 
 from __future__ import annotations
@@ -22,10 +22,18 @@ from .groups import AbelianGroup, GroupElement
 def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
     """X*Y for index arrays x, y: coefficient of w = #{(i, j) : g_i + g_j = w}.
 
-    A count is at most |X|*|Y| <= MAX_ORDER**2 = 2**24, so int64 is exact.
+    The pair sums are indexed one coordinate at a time, in int32: the index
+    of g_i + g_j is i + j less n_pos * w_pos for each position pos where the
+    residues carry (r_i + r_j >= n_pos).  A count is at most |X|*|Y| <=
+    MAX_ORDER**2 = 2**24, so int64 is exact.
     """
-    pairs = group.add_table[np.ix_(x, y)].ravel()
-    return np.bincount(pairs, minlength=group.order).astype(np.int64, copy=False)
+    rx = group.residue_matrix[x].astype(np.int32)
+    ry = group.residue_matrix[y].astype(np.int32)
+    pairs = np.add.outer(np.asarray(x, dtype=np.int32), np.asarray(y, dtype=np.int32))
+    for pos, (n, w) in enumerate(zip(group.factors, group.index_weights.tolist())):
+        carry = rx[:, pos, None] + ry[None, :, pos] >= n
+        pairs -= carry * np.int32(n * w)
+    return np.bincount(pairs.ravel(), minlength=group.order).astype(np.int64, copy=False)
 
 
 # --- identity checks --------------------------------------------------------------

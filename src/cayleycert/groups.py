@@ -2,7 +2,7 @@
 
 Vertex numbering everywhere in the toolkit is the mixed-radix enumeration
 order fixed here, and a group's arithmetic is its read-only index tables:
-addition, negation and element orders.  Residue tuples appear only at the
+residues, negation and element orders.  Residue tuples appear only at the
 text/JSON boundary (contains, index_of, element_of).  Groups are additive:
 the difference convention a - b replaces the multiplicative a*b^-1.
 """
@@ -108,21 +108,6 @@ class AbelianGroup:
         for pos in range(self.rank - 2, -1, -1):
             w[pos] = w[pos + 1] * self.factors[pos + 1]
         return _read_only(w)
-
-    @cached_property
-    def add_table(self) -> np.ndarray:
-        """Dense index addition table T[i, j] = index_of(g_i + g_j)."""
-        res = self.residue_matrix.astype(np.int32)
-        # One coordinate at a time: T = sum over positions of
-        # ((r_i + r_j) mod n_pos) * w_pos; every partial sum is an index.
-        tab = np.zeros((self.order, self.order), dtype=np.int32)
-        for pos, (n, w) in enumerate(zip(self.factors, self.index_weights.tolist())):
-            r = res[:, pos]
-            summed = r[:, None] + r[None, :]
-            summed[summed >= n] -= n
-            summed *= w
-            tab += summed
-        return _read_only(tab)
 
     @cached_property
     def neg_table(self) -> np.ndarray:

@@ -20,6 +20,10 @@ Decision pipeline, cheapest sound step first:
   5. search: the same search without the cap, a complete decider that
      returns an explicit vertex bijection or exhausts the tree.
 
+The graph's vertex_transitive mark (set by build_cayley) is the one record of
+vertex-transitivity: on a marked target the probe and the search try only
+its vertex 0 at the root, as the SRG and distance kernels read vertex 0 only.
+
 Every positive answer is re-validated against the adjacency matrices before
 it is returned; refutations carry the distinguishing invariant and both
 values.
@@ -30,7 +34,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field as dataclass_field, fields as dataclass_fields
-from typing import ClassVar, Iterable, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -433,28 +437,6 @@ def _ir_search(
 # --- the deciders -------------------------------------------------------------------
 
 
-def _verified_orbit_minima(g2: DenseGraph, aut_perms: Iterable[Sequence[int]]) -> set[int]:
-    """Verify each permutation is an automorphism of g2; return orbit minima
-    of the generated subgroup (sound root-level candidate filter)."""
-    n = g2.n
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in aut_perms:
-        if not verify_certificate(g2, g2, perm):
-            raise ValueError("supplied permutation is not an automorphism of the target graph")
-        for v in range(n):
-            a, b = find(v), find(int(perm[v]))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    return {v for v in range(n) if find(v) == v}
-
-
 def _refutation(invariant: str, values: tuple, decided_by: str) -> IsoDecision:
     return IsoDecision(
         False,
@@ -548,20 +530,21 @@ def are_isomorphic(
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
     time_budget: Optional[float] = None,
-    aut_perms: Optional[list] = None,
     force_search: bool = False,
 ) -> IsoDecision:
     """Complete isomorphism decider with certificates.
 
-    aut_perms: optional known automorphisms of g2, verified (ValueError when
-    one is not) before any screen, that collapse the root branching to orbit
-    representatives.  force_search skips the invariant screens and the probe
-    (test mode).  Refinement runs its deep step when g1 is strongly regular.
-    node_budget and time_budget bound the probe and then the full search.
+    When g2 is marked vertex-transitive the search tries only g2's vertex 0
+    at the root: refinement is invariant under Aut(g2), so the root cell
+    holds every vertex of g2, and an automorphism carries the image of any
+    isomorphism's root vertex to 0.  force_search skips the invariant screens
+    and the probe (test mode).  Refinement runs its deep step when g1 is
+    strongly regular.  node_budget and time_budget bound the probe and then
+    the full search.
     """
     if g1.n != g2.n:
         return _refutation("vertex-count", (g1.n, g2.n), "vertex count")
-    root = _verified_orbit_minima(g2, aut_perms) if aut_perms is not None else None
+    root = {0} if g2.vertex_transitive else None
     srg1 = check_srg(g1)
     deep = srg1.is_srg
     if not force_search:
@@ -588,11 +571,16 @@ def is_self_complementary(
     """Decide whether graph is isomorphic to its complement.
 
     A connection-set hint (the graph must equal build_cayley(hint)) enables
-    the fast group-automorphism certificate scan and lets the fallback search
-    use the verified translation automorphisms of the complement.
+    the fast group-automorphism certificate scan.  The decision then runs on
+    the built graph, which equals the input and is marked vertex-transitive,
+    so a graph read from graph6 with a hint gets the vertex-0 kernels and the
+    search root {0} as a .set input does.
     """
-    if hint is not None and build_cayley(hint) != graph:
-        raise ValueError("hint connection set does not build this labeled graph")
+    if hint is not None:
+        built = build_cayley(hint)
+        if built != graph:
+            raise ValueError("hint connection set does not build this labeled graph")
+        graph = built
     n = graph.n
     degrees = graph.degrees()
     if len(set(degrees)) == 1 and n > 1 and n % 4 != 1:
@@ -603,25 +591,13 @@ def is_self_complementary(
     if 2 * m != total:
         return _refutation("edge-count", (m, total - m), "edge-count precheck")
     comp = complement(graph)
-    aut_perms = None
-    if hint is not None:
-        if scan_automorphisms:
-            try:
-                cert, _scanned = selfcomp_by_group_automorphism(hint)
-            except AutEnumerationError:
-                cert = None  # Aut(G) is too large to scan: inconclusive, like a miss
-            if cert is not None:
-                if not verify_certificate(graph, comp, cert.permutation):
-                    raise SelfCheckError("the scanned automorphism does not complement the graph")
-                return IsoDecision(True, cert, "group-automorphism certificate")
-        # Translations x -> x + e_i generate a transitive subgroup of Aut of
-        # every Cayley graph over the group; the search re-verifies them.
-        add = hint.group.add_table
-        aut_perms = [add[int(w)] for w in hint.group.index_weights]
-    return are_isomorphic(
-        graph,
-        comp,
-        node_budget=node_budget,
-        time_budget=time_budget,
-        aut_perms=aut_perms,
-    )
+    if hint is not None and scan_automorphisms:
+        try:
+            cert, _scanned = selfcomp_by_group_automorphism(hint)
+        except AutEnumerationError:
+            cert = None  # Aut(G) is too large to scan: inconclusive, like a miss
+        if cert is not None:
+            if not verify_certificate(graph, comp, cert.permutation):
+                raise SelfCheckError("the scanned automorphism does not complement the graph")
+            return IsoDecision(True, cert, "group-automorphism certificate")
+    return are_isomorphic(graph, comp, node_budget=node_budget, time_budget=time_budget)

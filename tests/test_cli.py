@@ -324,6 +324,31 @@ class TestVerify:
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run_cli(capsys, "verify", *argv, "--srg") == (2, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize(
+        "budget,err",
+        [
+            (["--node-budget", "-1"], "--node-budget must be >= 0, got -1"),
+            (["--time-budget", "-1"], "--time-budget must be >= 0, got -1.0"),
+            (["--time-budget=-inf"], "--time-budget must be >= 0, got -inf"),
+            (["--time-budget", "nan"], "--time-budget must be >= 0, got nan"),
+        ],
+    )
+    def test_out_of_range_budget_exits_2(self, capsys, budget, err):
+        """Refused before the input is read: the file does not exist."""
+        argv = ["verify", "/nonexistent.g6", "--selfcomp", *budget]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_zero_budgets_are_accepted(self, capsys, tmp_path):
+        g = build_cayley(paley(13).connection_set)
+        p = tmp_path / "paley13.g6"
+        p.write_text(to_graph6(g) + "\n")
+        for budget in (["--node-budget", "0"], ["--time-budget", "0"]):
+            code, out, _ = run_cli(capsys, "verify", str(p), "--selfcomp", *budget)
+            selfcomp = json.loads(out)["checks"]["selfcomp"]
+            assert code == 1
+            assert selfcomp["decided_by"] == "budget exhausted"
+            assert selfcomp["certificate"] == {"kind": "undecided", "search_nodes": 1}
+
     def test_empty_connection_set_is_accepted(self, capsys, tmp_path):
         (tmp_path / "z5.set").write_text("group Z5\n")
         for source in (["--group", "Z5", "--set", ""], ["--group", "Z5", "--set", ";"],

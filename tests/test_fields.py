@@ -15,7 +15,7 @@ from cayleycert.fields import (
     prime_power_decomposition,
 )
 
-from test_groups import table_add
+from test_groups import oracle_add
 
 
 class TestPrimes:
@@ -293,7 +293,7 @@ class TestCoordinates:
         elems = [G.identity] + rows_of(F)
         for a in elems:
             for b in elems[:9]:
-                assert table_add(G, a, b) == tuple((x + y) % p for x, y in zip(a, b))
+                assert oracle_add(G, a, b) == tuple((x + y) % p for x, y in zip(a, b))
         assert sorted(map(G.index_of, rows_of(F))) == list(range(1, F.q))
 
     def test_coordinate_example(self):

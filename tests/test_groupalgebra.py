@@ -16,7 +16,7 @@ from cayleycert.groupalgebra import (
 )
 from cayleycert.groups import AbelianGroup
 
-from test_groups import oracle_add, oracle_elements, oracle_neg, oracle_sub
+from test_groups import ORACLE_GROUPS, oracle_add, oracle_elements, oracle_neg, oracle_sub
 
 
 def brute_force_difference_counts(G: AbelianGroup, D: set) -> dict:
@@ -109,6 +109,29 @@ class TestConvolution:
                 for y in Y:
                     want[G.index_of(oracle_add(G, x, y))] += 1
             got = ga_mul(G, indices(G, X), indices(G, Y))
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_index_arrays_against_pair_count(self, factors):
+        """Index arrays as the identity checks pass them (lists, int64 and
+        int32 arrays), with repeated and empty ones, against the pair count
+        of the tuple oracle."""
+        G = AbelianGroup(factors)
+        elements = oracle_elements(G)
+        rng = random.Random(len(elements))
+
+        def draw():  # repeats allowed
+            return rng.choices(range(G.order), k=rng.randrange(1, 40))
+
+        cases = [(draw(), np.array(draw(), dtype=t)) for t in (np.int64, np.int32) for _ in "ab"]
+        cases += [([], cases[0][1]), (cases[1][0], np.array([], dtype=np.int64)), ([], [])]
+        for x, y in cases:
+            want = [0] * G.order
+            for i in x:
+                for j in y:
+                    want[G.index_of(oracle_add(G, elements[i], elements[int(j)]))] += 1
+            got = ga_mul(G, x, y)
             assert got.dtype == np.int64
             assert got.tolist() == want
 

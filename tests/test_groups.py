@@ -69,16 +69,28 @@ def oracle_apply(G: AbelianGroup, images, g) -> tuple:
     return out
 
 
-def table_add(G: AbelianGroup, g, h) -> tuple:
-    return G.element_of(int(G.add_table[G.index_of(g), G.index_of(h)]))
+def oracle_sum_indices(G: AbelianGroup) -> np.ndarray:
+    """S[i, j] = the enumeration index of g_i + g_j, by tuple arithmetic."""
+    elems = oracle_elements(G)
+    index = {g: i for i, g in enumerate(elems)}
+    return np.array([[index[oracle_add(G, g, h)] for h in elems] for g in elems])
 
 
-def table_cyclic_subgroup(G: AbelianGroup, i: int) -> set:
-    """Indices of the multiples of element i, by repeated add-table lookups."""
-    out, x = {0}, i
-    while x != 0:
-        out.add(x)
-        x = int(G.add_table[x, i])
+def oracle_translation(G: AbelianGroup, i: int) -> list:
+    """The permutation x -> g_i + x of the element indices."""
+    elems = oracle_elements(G)
+    index = {g: j for j, g in enumerate(elems)}
+    return [index[oracle_add(G, elems[i], h)] for h in elems]
+
+
+def repeated_sum_cyclic_subgroup(G: AbelianGroup, i: int) -> set:
+    """Indices of the multiples of element i, by repeated tuple addition and
+    the group's codec."""
+    g = G.element_of(i)
+    out, x = {0}, g
+    while x != G.identity:
+        out.add(G.index_of(x))
+        x = oracle_add(G, x, g)
     return out
 
 
@@ -224,29 +236,31 @@ ORACLE_GROUPS = sorted(
 class TestArithmetic:
     def test_add_examples(self):
         G = AbelianGroup((9, 9))
-        assert table_add(G, (2, 7), (8, 5)) == oracle_add(G, (2, 7), (8, 5)) == (1, 3)
+        assert oracle_add(G, (2, 7), (8, 5)) == (1, 3)
+        assert G.index_of(oracle_add(G, (2, 7), (8, 5))) == 12
         Z5 = AbelianGroup((5,))
-        assert table_add(Z5, (3,), (2,)) == (0,)
+        assert oracle_add(Z5, (3,), (2,)) == (0,)
 
     def test_identity_and_neg(self):
         G = AbelianGroup((4, 6))
-        T, N = G.add_table, G.neg_table
+        N = G.neg_table
         rng = random.Random(7)
         for _ in range(50):
             i = rng.randrange(G.order)
-            assert T[i, 0] == i
+            g = G.element_of(i)
+            assert oracle_add(G, g, G.identity) == g
             assert N[N[i]] == i
-            assert T[i, N[i]] == 0
-            assert G.element_of(int(N[i])) == oracle_neg(G, G.element_of(i))
+            assert oracle_add(G, g, G.element_of(int(N[i]))) == G.identity
+            assert G.element_of(int(N[i])) == oracle_neg(G, g)
 
     def test_commutative_associative(self):
         G = AbelianGroup((3, 4, 5))
-        T = G.add_table
-        assert np.array_equal(T, T.T)
+        S = oracle_sum_indices(G)
+        assert np.array_equal(S, S.T)
         rng = random.Random(11)
         for _ in range(100):
             i, j, k = (rng.randrange(G.order) for _ in range(3))
-            assert T[T[i, j], k] == T[i, T[j, k]]
+            assert S[S[i, j], k] == S[i, S[j, k]]
 
     def test_arity_mismatch(self):
         G = AbelianGroup((5,))
@@ -265,20 +279,17 @@ class TestArithmetic:
         G = AbelianGroup(factors)
         elems = oracle_elements(G)
         assert [G.element_of(i) for i in range(G.order)] == elems
-        assert G.add_table.tolist() == [
-            [G.index_of(oracle_add(G, g, h)) for h in elems] for g in elems
-        ]
         assert G.neg_table.tolist() == [G.index_of(oracle_neg(G, g)) for g in elems]
         assert G.element_orders.tolist() == [oracle_order(G, g) for g in elems]
-        for table in (G.residue_matrix, G.index_weights, G.add_table, G.neg_table, G.element_orders):
+        for table in (G.residue_matrix, G.index_weights, G.neg_table, G.element_orders):
             assert not table.flags.writeable
-        assert G.add_table is G.add_table  # built once
+        assert G.neg_table is G.neg_table  # built once
 
     def test_over_budget_tables_raise_before_allocating(self):
         G = AbelianGroup((MAX_ORDER + 1,))
         tracemalloc.start()
         try:
-            for name in ("residue_matrix", "add_table", "neg_table", "element_orders"):
+            for name in ("residue_matrix", "neg_table", "element_orders"):
                 with pytest.raises(ValueError, match="budget"):
                     getattr(G, name)
             _, peak = tracemalloc.get_traced_memory()
@@ -329,24 +340,6 @@ class TestEnumeration:
         for i in range(G.order):
             assert tuple(res[i]) == G.element_of(i)
 
-    def test_add_table(self):
-        G = AbelianGroup((3, 4))
-        tab = G.add_table
-        for i in range(G.order):
-            for j in range(G.order):
-                assert G.element_of(int(tab[i, j])) == oracle_add(
-                    G, G.element_of(i), G.element_of(j)
-                )
-
-    @pytest.mark.parametrize("factors", [(13,), (2, 4), (9, 9), (2, 3, 4), (2, 2, 2, 2), (25, 25)])
-    def test_add_table_against_broadcast(self, factors):
-        # the (n, n, rank) broadcast the per-coordinate build replaced
-        G = AbelianGroup(factors)
-        res = G.residue_matrix
-        summed = (res[:, None, :] + res[None, :, :]) % np.array(factors)
-        assert G.add_table.dtype == np.int32
-        assert np.array_equal(G.add_table, summed @ G.index_weights)
-
     def test_index_of_rejects_unreduced(self):
         G = AbelianGroup((5, 3))
         for g in [(-1, 0), (5, 0), (0, 3), (7, -2)]:
@@ -362,13 +355,13 @@ class TestCyclicSubgroup:
         assert oracle_cyclic_subgroup(G, (3, 0)) == {(0, 0), (3, 0), (6, 0)}
         assert oracle_cyclic_subgroup(G, G.identity) == {G.identity}
         for g in [(1, 1), (3, 0), G.identity]:
-            got = table_cyclic_subgroup(G, G.index_of(g))
+            got = repeated_sum_cyclic_subgroup(G, G.index_of(g))
             assert {G.element_of(i) for i in got} == oracle_cyclic_subgroup(G, g)
 
     def test_cardinality_is_order(self):
         G = AbelianGroup((4, 6))
         for i, g in enumerate(oracle_elements(G)):
-            assert len(table_cyclic_subgroup(G, i)) == G.element_orders[i]
+            assert len(repeated_sum_cyclic_subgroup(G, i)) == G.element_orders[i]
             assert len(oracle_cyclic_subgroup(G, g)) == G.element_orders[i]
 
 
@@ -400,7 +393,7 @@ class TestAutomorphisms:
     def test_additivity_and_bijectivity(self):
         for factors in [(3, 3), (8,), (2, 2, 2), (9, 9)]:
             G = AbelianGroup(factors)
-            T = G.add_table
+            T = oracle_sum_indices(G)
             for sigma in automorphisms(G):
                 perm = sigma.as_permutation()
                 assert sorted(perm.tolist()) == list(range(G.order))

@@ -635,10 +635,61 @@ class TestBudgets:
         assert d.isomorphic is None
         assert d.certificate.kind == "undecided" and d.certificate.nodes == budget + 1
 
-    def test_bad_automorphism_raises_before_the_screens(self, monkeypatch):
-        # the pair is refuted by the cheap triangles field, yet the supplied
-        # permutation is checked first
-        two_triangles = DenseGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        monkeypatch.setattr(iso, "check_srg", lambda g: pytest.fail("a screen ran"))
-        with pytest.raises(ValueError, match="not an automorphism"):
-            are_isomorphic(cycle(6), two_triangles, aut_perms=[[0, 3, 2, 1, 4, 5]])
+
+class TestVertexTransitiveRoot:
+    """The search root {0} on a marked target against the whole root cell on
+    an unmarked copy of the same graph."""
+
+    @pytest.mark.parametrize("name", sorted(PROBE_POSITIVES))
+    def test_marked_and_unmarked_decisions_agree(self, name):
+        built = build_cayley(PROBE_POSITIVES[name]())
+        for g in (built, probe_positive(name)):
+            plain = DenseGraph(g.adjacency())
+            assert g.vertex_transitive and not plain.vertex_transitive
+            marked = are_isomorphic(g, complement(g)).to_json_dict()
+            assert marked == are_isomorphic(plain, complement(plain)).to_json_dict()
+            assert marked["isomorphic"] is True
+
+    def test_davis5_search_exhausts_at_the_root(self):
+        g = build_cayley(davis(5).connection_set)
+        plain = DenseGraph(g.adjacency())
+        marked = are_isomorphic(g, complement(g), force_search=True)
+        unmarked = are_isomorphic(plain, complement(plain), force_search=True)
+        for d in (marked, unmarked):
+            assert (d.isomorphic, d.decided_by) == (False, "search exhausted")
+        # one root node against every vertex of the root cell, each refuted a level down
+        assert (marked.certificate.nodes, unmarked.certificate.nodes) == (1, g.n)
+
+    def test_graph6_with_hint_runs_the_vertex_0_kernels(self, monkeypatch):
+        from cayleycert import graphs
+
+        conn = davis(5).connection_set
+        g = build_cayley(conn)
+        marked = is_self_complementary(g, conn, scan_automorphisms=False).to_json_dict()
+        visits = []
+        neighbourhoods = graphs._neighbourhoods
+
+        def spy(x):
+            for u, nbrs in neighbourhoods(x):
+                visits.append(u)
+                yield u, nbrs
+
+        monkeypatch.setattr(graphs, "_neighbourhoods", spy)
+        read = graphs.from_graph6(graphs.to_graph6(g))
+        assert not read.vertex_transitive
+        d = is_self_complementary(read, conn, scan_automorphisms=False)
+        assert d.to_json_dict() == marked
+        assert d.decided_by == "edge profile screen"
+        # the clique kernel, then the per-edge pass, each at vertex 0 of both graphs
+        assert visits == [0, 0, 0, 0]
+
+    def test_no_quadratic_table_is_cached_on_the_group(self):
+        from cayleycert.groupalgebra import verify_schur_partition
+
+        conn = davis(5).connection_set
+        G = conn.group
+        assert verify_schur_partition(G, conn)
+        assert not is_self_complementary(build_cayley(conn), conn).isomorphic
+        cached = {name: np.size(value) for name, value in vars(G).items()}
+        assert "residue_matrix" in cached
+        assert max(cached.values()) < G.order**2, cached
