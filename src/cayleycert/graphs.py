@@ -2,12 +2,12 @@
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
 kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency), one symmetric product
-per vertex behind the triangle and 4-clique counts, one edges-inside product
-behind the triangle count, the per-edge pass of the edge profile and the
-deep color refinement, the odd-p ranks (lazily reduced elimination in int32
-or int64, where the parameters of a strongly regular graph do not fix the
-rank) and the graph6 format.  The float32 products are exact because every
+products of a block of 0/1 rows with the adjacency), one edges-inside
+product behind the triangle count, the 4-clique count (one per vertex, at
+the second vertex of each 4-clique), the per-edge pass of the edge profile
+and the deep color refinement, the odd-p ranks (lazily reduced elimination
+in int32 or int64, where the parameters of a strongly regular graph do not
+fix the rank) and the graph6 format.  The float32 products are exact because every
 value they form is an integer below 2^24.  Where a kernel
 needs them, the rows are also packed into Python ints, once per graph: the
 GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
@@ -65,7 +65,9 @@ class DenseGraph:
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         check_order_budget("graph", n)
-        _first_pair((A != 0) & (A != 1), "adjacency entry {} is not 0 or 1")
+        # bool and unsigned entries are never below 0, so one comparison finds the rest
+        unsigned = A.dtype.kind in "bu"
+        _first_pair(A > 1 if unsigned else (A != 0) & (A != 1), "adjacency entry {} is not 0 or 1")
         loops = np.flatnonzero(np.diagonal(A))
         if loops.size:
             raise ValueError(f"loop at vertex {loops[0]}")
@@ -169,13 +171,13 @@ def _edges_inside(R: np.ndarray, M: np.ndarray) -> np.ndarray:
     on a vertex set and row i of R is the 0/1 indicator of X_i in that set.
 
     Row i of R @ M, times R elementwise, sums to twice e(G[X_i]): each edge
-    inside X_i is seen from both ends.  The product is exact: every entry and
-    partial sum of R @ M is an integer at most n <= MAX_ORDER < 2^24, which
-    float32 holds in any summation order.  The elementwise product is cast
-    to int64 before its row sum, so that sum needs no bound.  An odd sum
-    raises SelfCheckError.
+    inside X_i is seen from both ends.  Both are exact in float32, which
+    holds every integer below 2^24 in any summation order: every entry and
+    partial sum of R @ M is at most n <= MAX_ORDER, and every partial row sum
+    at most 2 e(G[X_i]) <= |X_i| (|X_i| - 1) <= 4096 * 4095 < 2^24.  An odd
+    sum raises SelfCheckError.
     """
-    twice = ((R @ M) * R).sum(axis=1, dtype=np.int64)
+    twice = ((R @ M) * R).sum(axis=1, dtype=np.float32).astype(np.int64)
     odd = np.flatnonzero(twice & 1)
     if odd.size:
         raise SelfCheckError(f"odd edges-inside count {twice[odd[0]]} at row {odd[0]}")
@@ -463,13 +465,20 @@ def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, 
 
 def sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
     """Per source vertex, the sizes of its distance spheres (sphere 0 first),
-    from one pass of the distance kernel per graph, over all sources or, on a
-    graph marked vertex-transitive, over vertex 0 alone.  Sources with the
-    same sizes share one tuple, so a vertex-transitive graph keeps one."""
+    once per graph.  On a graph the memoised check_srg certifies, they are
+    (1, k, n - k - 1) at every source: it is connected and not complete, so
+    mu >= 1 and every non-edge is at distance 2.  Every other graph takes one
+    pass of the distance kernel, over all sources or, on a graph marked
+    vertex-transitive, over vertex 0 alone.  Sources with the same sizes
+    share one tuple, so a vertex-transitive graph keeps one."""
     return graph._memo(_sphere_sizes)
 
 
 def _sphere_sizes(graph: DenseGraph) -> tuple[tuple[int, ...], ...]:
+    srg = check_srg(graph)
+    if srg.is_srg:
+        n, k, _lam, _mu = srg.params.as_tuple()
+        return ((1, k, n - k - 1),) * n
     out = []
     shared: dict = {}
     for _sources, dist in _distance_blocks(graph, _source_stop(graph)):
@@ -653,7 +662,7 @@ def _neighbourhoods(graph: DenseGraph):
 def _whole_graph(graph: DenseGraph, count: int, size: int, what: str) -> int:
     """The number of {what} in the graph, each on {size} vertices, from the
     count a per-vertex kernel made at the vertices it visited.  Unmarked, each
-    is counted once, at its lowest vertex.  Marked vertex-transitive, vertex 0
+    is counted once, at one of its vertices.  Marked vertex-transitive, vertex 0
     counts those containing it; an automorphism taking 0 to u carries them
     onto those containing u, so the graph holds n * count / size of them."""
     if not graph.vertex_transitive:
@@ -665,28 +674,37 @@ def _whole_graph(graph: DenseGraph, count: int, size: int, what: str) -> int:
 
 
 def _clique_counts(graph: DenseGraph) -> tuple[int, int]:
-    """(triangles, 4-cliques), from one symmetric product per visited vertex u.
+    """(triangles, 4-cliques), from one edges-inside product per visited
+    vertex b.
 
-    H is the float32 adjacency of G[N+(u)], N+(u) the neighbours of u above u
-    (all of N(0) on a marked graph), and S = H @ H.T counts common neighbours
-    inside N+(u).  H sums to twice e(G[N+(u)]), the triangles whose lowest
-    vertex is u, and S * H to six times the triangles of G[N+(u)], the
-    4-cliques whose lowest vertex is u.  The product is exact for the reason
-    given in _edges_inside, and the sums are taken in int64; a sum that is not
-    a multiple of 2 or 6 raises SelfCheckError.
+    Unmarked, each 4-clique {a < b < c < d} is counted once, at b.  One
+    gather X = A[N(b)][:, N+(b)], N+(b) the neighbours above b, holds M, the
+    float32 adjacency of G[N+(b)], in its rows N+(b), and R, the rows a in
+    N(b) below b restricted to N+(b).  _edges_inside(R, M) counts at row a
+    the edges {c, d} of G[N(a) & N+(b)], so it sums to the 4-cliques whose
+    second vertex is b, and M sums to twice the triangles whose lowest
+    vertex is b.  This costs sum d-(b) d+(b)^2, about n k^3 / 12 multiply-adds.
+    Marked vertex-transitive, R = M = X is G[N(0)]: each 4-clique through 0
+    is seen from its 3 other vertices.  A sum that is not a multiple of 2, or
+    of 3 at a marked vertex 0, raises SelfCheckError.
     """
     A = graph.adjacency()
-    twice = six = 0
-    for u, nbrs in _neighbourhoods(graph):
-        later = nbrs[nbrs > u]
-        H = A[later][:, later].astype(np.float32)
-        twice += int(H.sum(dtype=np.int64))
-        six += int(((H @ H.T) * H).sum(dtype=np.int64))
-    if twice % 2 or six % 6:
-        raise SelfCheckError(f"the clique sums {twice} and {six} are not multiples of 2 and 6")
+    marked = graph.vertex_transitive
+    twice = seen = 0
+    for b, nbrs in _neighbourhoods(graph):
+        low = int(np.searchsorted(nbrs, b))  # 0 at vertex 0
+        X = A[nbrs][:, nbrs[low:]]
+        twice += int(np.count_nonzero(X[low:]))
+        X = X.astype(np.float32)
+        seen += int(_edges_inside(X if marked else X[:low], X[low:]).sum())
+    sides = 3 if marked else 1
+    if twice % 2 or seen % sides:
+        raise SelfCheckError(
+            f"the clique sums {twice} and {seen} are not multiples of 2 and {sides}"
+        )
     return (
         _whole_graph(graph, twice // 2, 3, "triangles"),
-        _whole_graph(graph, six // 6, 4, "4-cliques"),
+        _whole_graph(graph, seen // sides, 4, "4-cliques"),
     )
 
 

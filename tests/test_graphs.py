@@ -114,11 +114,18 @@ class TestConstruction:
             ([[0, 2], [2, 0]], re.escape("entry (0, 1) is not 0 or 1")),
             ([[0, 1], [-1, 0]], re.escape("entry (1, 0) is not 0 or 1")),
             ([[0, 0.5], [0.5, 0]], re.escape("entry (0, 1) is not 0 or 1")),
+            (np.array([[0, 1], [2, 0]], dtype=np.uint8), re.escape("entry (1, 0) is not 0 or 1")),
         ],
     )
     def test_rejects_invalid_matrix(self, A, message):
         with pytest.raises(ValueError, match=message):
             DenseGraph(A)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint16, np.int8, np.int64, np.float32])
+    def test_accepts_zero_one_entries_of_any_dtype(self, dtype):
+        A = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=dtype)
+        g = DenseGraph(A)
+        assert g.adjacency().dtype == np.uint8 and g.edges() == [(0, 1), (0, 2)]
 
     def test_from_edges_checks_budget_first(self):
         with pytest.raises(ValueError, match="exceeds the desk-scale budget"):
@@ -318,22 +325,35 @@ class TestInvariantCounts:
             tri = invariant_counts(g)[0]
             assert Fraction(p.n * p.k * p.lam, 6) == tri
 
+    def test_against_brute_force_on_cayley_graphs(self):
+        for g, marked, plain in cayley_clique_corpus():
+            want = (brute_triangles(g), brute_four_cliques(g))
+            assert invariant_counts(marked)[:2] == invariant_counts(plain)[:2] == want
+
     def test_edge_profile_weighted_sum_is_six_quads(self):
+        """The per-edge pass and the clique kernel, two kernels, agree."""
         rng = random.Random(23)
-        g = random_graph(10, 0.6, rng)
-        profile = edge_neighborhood_edge_profile(g)
-        _, quad, _ = invariant_counts(g)
-        assert sum(v * c for v, c in profile) == 6 * quad
+        corpus = [random_graph(10, 0.6, rng)] + self.corpus()
+        corpus += [x for _g, marked, plain in cayley_clique_corpus() for x in (marked, plain)]
+        corpus += TestEdgesInsideKernel().corpus()
+        for g in corpus:
+            profile = edge_neighborhood_edge_profile(g)
+            _, quad, _ = invariant_counts(g)
+            assert sum(v * c for v, c in profile) == 6 * quad
 
     def test_clique_checks_raise_under_optimization(self):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", CLIQUE_FAULTS], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        # the arcs leave H summing to 3 at vertex 0 and 1 at vertex 1, and
-        # S * H to 1 at vertex 0: the arc 1->2, whose ends share the arc to 3
         assert proc.stdout.splitlines() == [
-            "the clique sums 4 and 1 are not multiples of 2 and 6",
+            # at vertex 1, row 0 meets the one arc 2->3 of N+(1) = {2, 3}
+            "odd edges-inside count 1 at row 0",
+            # the one arc 1->2 is all of G[N+(0)], and no row below 1 meets it
+            "the clique sums 1 and 0 are not multiples of 2 and 1",
+            # marked: G[N(0)] holds the triangle 1 2 3 and the arcs 4->1, 4->2,
+            # so each of the 4 rows counts one edge inside, 4 in all
+            "the clique sums 8 and 4 are not multiples of 2 and 3",
             "1 triangles by the clique kernel, 26 by product",
         ]
 
@@ -372,6 +392,22 @@ class TestTriangleCount:
         monkeypatch.setattr(graphs, "_clique_counts", lambda graph: (1, 0))
         with pytest.raises(SelfCheckError, match="triangle"):
             fingerprint(g)
+
+
+def cayley_clique_corpus():
+    """(g, marked, plain) for relabelled Cayley graphs and their complements:
+    g as built, a relabelled copy keeping the vertex-transitive mark, and the
+    same copy unmarked."""
+    rng = np.random.default_rng(47)
+    p5 = paley(5).connection_set
+    sets = [paley(q).connection_set for q in (13, 25)] + [peisert(49).connection_set]
+    sets += [davis(3).connection_set, lex_product(p5, p5)]
+    out = []
+    for conn in sets:
+        for g in (build_cayley(conn), complement(build_cayley(conn))):
+            marked = g.relabel(rng.permutation(g.n))
+            out.append((g, marked, DenseGraph(marked.adjacency())))
+    return out
 
 
 def brute_triangles(g):
@@ -445,14 +481,26 @@ class TestEdgesInsideKernel:
                 R[0, members] = 1
                 assert graphs._edges_inside(R, A).tolist() == [want]
 
+    def test_exact_at_the_budget(self):
+        # an all-ones row against K_MAX_ORDER: its row sum 4096 * 4095, twice
+        # the edge count, is the largest a graph in the budget can make
+        n = MAX_ORDER
+        K = np.ones((n, n), dtype=np.float32)
+        np.fill_diagonal(K, 0)
+        R = np.ones((2, n), dtype=np.float32)
+        R[1, -1] = 0
+        assert graphs._edges_inside(R, K).tolist() == [n * (n - 1) // 2, (n - 1) * (n - 2) // 2]
+
     def test_profile_and_four_cliques(self):
         for g in self.corpus():
             assert edge_neighborhood_edge_profile(g) == brute_edge_profile(g)
             assert invariant_counts(g)[1] == brute_four_cliques(g)
 
     def test_inconsistent_counts_raise(self, monkeypatch):
-        with pytest.raises(SelfCheckError, match="the clique sums 4 and 1"):
+        with pytest.raises(SelfCheckError, match="odd edges-inside count 1 at row 0"):
             invariant_counts(one_way_triangle())
+        with pytest.raises(SelfCheckError, match="the clique sums 1 and 0"):
+            invariant_counts(star_with_arcs(3, [(1, 2)]))
         g = paley_graph(13)
         monkeypatch.setattr(SrgParams, "count_identity_holds", lambda self: False)
         with pytest.raises(SelfCheckError):
@@ -484,19 +532,26 @@ def reference_pass(g):
     return tuple(sorted(counts.items()))
 
 
-def one_way_triangle():
-    """The star at vertex 0 plus one arc per edge of the triangle 1 2 3 in
-    N(0), set past the constructor, which rejects an asymmetric matrix."""
-    g = graphs.DenseGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    faulty = np.zeros((4, 4), dtype=np.uint8)
+def star_with_arcs(leaves, arcs, vertex_transitive=False):
+    """The star at vertex 0 on the leaves 1..leaves plus one-way arcs among
+    them, set past the constructor, which rejects an asymmetric matrix."""
+    n = leaves + 1
+    g = graphs.DenseGraph(np.zeros((n, n), dtype=np.uint8), vertex_transitive=vertex_transitive)
+    faulty = np.zeros((n, n), dtype=np.uint8)
     faulty[0, 1:] = faulty[1:, 0] = 1
-    faulty[1, 2] = faulty[1, 3] = faulty[2, 3] = 1
+    for u, v in arcs:
+        faulty[u, v] = 1
     g._adjacency = faulty
     return g
 
 
-FAULT_PRELUDE = "import numpy as np\nfrom cayleycert import graphs\n\n" + inspect.getsource(
-    one_way_triangle
+def one_way_triangle():
+    """The star at vertex 0 plus one arc per edge of the triangle 1 2 3 in N(0)."""
+    return star_with_arcs(3, [(1, 2), (1, 3), (2, 3)])
+
+
+FAULT_PRELUDE = "import numpy as np\nfrom cayleycert import graphs\n\n" + "\n\n".join(
+    inspect.getsource(f) for f in (star_with_arcs, one_way_triangle)
 )
 
 ODD_DIAGONAL_FAULT = FAULT_PRELUDE + """
@@ -509,10 +564,16 @@ except graphs.SelfCheckError as exc:
 CLIQUE_FAULTS = FAULT_PRELUDE + """
 from cayleycert import cayley, families, iso
 
-try:
-    graphs.invariant_counts(one_way_triangle())
-except graphs.SelfCheckError as exc:
-    print(exc)
+triangle = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+for g in (
+    one_way_triangle(),
+    star_with_arcs(3, [(1, 2)]),
+    star_with_arcs(4, triangle + [(4, 1), (4, 2)], vertex_transitive=True),
+):
+    try:
+        graphs.invariant_counts(g)
+    except graphs.SelfCheckError as exc:
+        print(exc)
 graphs._clique_counts = lambda graph: (1, 0)
 try:
     iso.fingerprint(cayley.build_cayley(families.paley(13).connection_set))
@@ -749,7 +810,10 @@ class TestBlockKernels:
         for name in ("_product_distances", "_bfs_layers"):
             kernel = getattr(graphs, name)
             monkeypatch.setattr(graphs, name, lambda *a, k=kernel, n=name: used.append(n) or k(*a))
-        for g in (cycle(100), paley_graph(257), cycle(200), path(150)):
+        # a regular graph that is not strongly regular, past one row block
+        regular = from_networkx(nx.random_regular_graph(4, 300, seed=7))
+        assert not check_srg(regular).is_srg
+        for g in (cycle(100), regular, cycle(200), path(150)):
             assert is_connected(g)  # the memoised BFS from vertex 0 runs here
             used.clear()
             graphs._sphere_sizes(g)
@@ -757,6 +821,22 @@ class TestBlockKernels:
             want = "_product_distances" if n_ecc <= graphs.LAYER_PRODUCT_LIMIT else "_bfs_layers"
             assert set(used) == {want}
         assert used == ["_bfs_layers"]  # path(150): 150 * 149 > LAYER_PRODUCT_LIMIT
+
+    def test_srg_sphere_sizes_without_a_distance_pass(self, monkeypatch):
+        """On a certified SRG, marked or not, the sphere sizes read off the
+        parameters equal the per-source BFS, and no distance pass runs."""
+        passes = []
+        blocks = graphs._distance_blocks
+        monkeypatch.setattr(
+            graphs, "_distance_blocks", lambda *a: passes.append(a) or blocks(*a)
+        )
+        corpus = self.corpus()
+        corpus += [x for _g, marked, plain in cayley_clique_corpus() for x in (marked, plain)]
+        srgs = [g for g in corpus if check_srg(g).is_srg]
+        assert len(srgs) >= 20 and any(not g.vertex_transitive for g in srgs)
+        for g in srgs:
+            assert graphs._sphere_sizes(g) == reference_sphere_sizes(g)
+        assert passes == []
 
     @pytest.mark.parametrize("limit", [-1, 10**9], ids=["bfs", "products"])
     def test_against_loops_across_block_edges(self, monkeypatch, limit):
@@ -819,11 +899,19 @@ class TestVertexTransitiveMark:
         for x in (g, h, plain):
             assert sphere_sizes(x) == ((1, 6, 6),) * 13
             assert intersection_array(x).array == IntersectionArray((6, 3), (1, 3))
-        # one source-0 pass per marked graph and kernel, all sources otherwise
-        assert [stop for _graph, stop in passes] == [1, 1, 1, 1, 13, 13]
-        assert all(y is x for (y, _stop), x in zip(passes, (g, g, h, h, plain, plain)))
-        sizes = sphere_sizes(g)
-        assert all(t is sizes[0] for t in sizes)  # source 0's tuple, shared
+        c7 = build_cayley(validate_connection_set(AbelianGroup((7,)), [(1,), (6,)]))
+        plain_c7 = DenseGraph(c7.adjacency())
+        for x in (c7, plain_c7):
+            assert sphere_sizes(x) == ((1, 2, 2, 2),) * 7
+            assert intersection_array(x).array == IntersectionArray((2, 1, 1), (1, 1, 1))
+        # sphere_sizes of a certified SRG runs no pass; otherwise one source-0
+        # pass per marked graph and kernel, all sources on an unmarked graph
+        assert [stop for _graph, stop in passes] == [1, 1, 13, 1, 1, 7, 7]
+        graphs_passed = (g, h, plain, c7, c7, plain_c7, plain_c7)
+        assert all(y is x for (y, _stop), x in zip(passes, graphs_passed))
+        for x in (g, c7):
+            sizes = sphere_sizes(x)
+            assert all(t is sizes[0] for t in sizes)  # one tuple, shared
 
     def test_mark_is_trusted_not_checked(self):
         # late_join() first fails at row and source 8; marked, only vertex 0
@@ -854,6 +942,12 @@ class TestVertexTransitiveMark:
         # the clique kernel, then the per-edge pass: vertex 0 when marked, all n otherwise
         want = [(g, 0)] * 2 + [(plain, u) for u in range(13)] * 2
         assert [(id(x), u) for x, u in visits] == [(id(x), u) for x, u in want]
+
+    def test_wrong_mark_fails_the_clique_division(self):
+        # K4 plus an isolated vertex: vertex 0 is in one 4-clique, and 5 / 4 is not whole
+        marked = DenseGraph(np.pad(complete(4).adjacency(), (0, 1)), vertex_transitive=True)
+        with pytest.raises(SelfCheckError, match="5 x 1 4-cliques at vertex 0 is not a multiple"):
+            invariant_counts(marked)
 
     def test_wrong_mark_fails_the_edge_profile_checks(self):
         # vertex 0 of a path has one edge: n / 2 times it is 2 edges of P4,

@@ -261,17 +261,17 @@ class TestFingerprint:
         g = build_cayley(paley(13).connection_set)
         h = complement(g)
         plain = DenseGraph(g.adjacency())
-        for x in (g, h, plain):
+        c7 = cycle(7)
+        for x in (g, h, plain, c7):
             fingerprint(x)
-            assert graphs.diameter(x) == 2
+            assert graphs.diameter(x) == (3 if x is c7 else 2)
         # the BFS from vertex 0 once per graph (memoised for check_srg's
-        # connectivity test and the distance kernel's choice), then one
-        # distance pass per graph: from source 0 alone on the Cayley graph and
-        # its complement, which are marked vertex-transitive, and from every
-        # source on the unmarked copy
-        assert sources == [[0], [0], [0]]
-        assert [stop for _graph, stop in passes] == [1, 1, 13]
-        assert all(y is x for (y, _stop), x in zip(passes, (g, h, plain)))
+        # connectivity test and the distance kernel's choice); no distance
+        # pass on the certified SRGs, marked or not, whose sphere sizes come
+        # from their parameters, and one from every source on the unmarked C7
+        assert sources == [[0]] * 4
+        assert [stop for _graph, stop in passes] == [7]
+        assert passes[0][0] is c7
 
 
 class TestRefinementInvariance:
