@@ -12,11 +12,11 @@ Decision pipeline, cheapest sound step first:
      nodes.  The search is a deterministic depth-first search that no screen
      changes, so a bijection it finds is the one the full search would
      return; a probe that exhausts or reaches its cap reports nothing.
-  4. costly screens: the remaining fingerprint fields (4-cliques, mod-p
-     ranks, distance distribution), each computed only while the ones before
-     it agree, then for same-parameter strongly regular pairs a spectral
-     mod-p rank screen and the edge-neighborhood edge-count profile.  A
-     mismatch refutes.
+  4. costly screens, in cost order: the remaining fingerprint fields
+     (4-cliques, mod-p ranks, distance distribution), the edge-neighborhood
+     edge-count profile, then for strongly regular pairs the spectral mod-p
+     ranks of A - sI.  Each value is computed only while the ones before it
+     agree; a mismatch refutes.
   5. search: the same search without the cap, a complete decider that
      returns an explicit vertex bijection or exhausts the tree.
 
@@ -43,8 +43,6 @@ from .fields import factorize
 from .graphs import (
     DenseGraph,
     SelfCheckError,
-    SrgParams,
-    SrgResult,
     check_srg,
     class_edge_counts,
     complement,
@@ -194,9 +192,46 @@ def fingerprint(graph: DenseGraph) -> Fingerprint:
     return Fingerprint(**{name: _FIELD_VALUES[name](graph) for name in Fingerprint.FIELDS})
 
 
-#: The fields computed before the probe search and those left to the screens.
-_CHEAP_FIELDS = ("n", "degrees", "srg", "triangles")
-_COSTLY_FIELDS = Fingerprint.FIELDS[len(_CHEAP_FIELDS) :]
+# --- screens ----------------------------------------------------------------------
+
+
+def _one_pair(decided_by: str, invariant: str, value_of):
+    """A screen (decided_by, screen): screen(graph) yields (invariant, value)
+    pairs of one graph, each value computed when the loop reaches it.  This
+    one yields the one pair (invariant, value_of(graph))."""
+    return decided_by, lambda graph: [(invariant, value_of(graph))]
+
+
+def _spectral_ranks(graph: DenseGraph):
+    """mod_p_rank(A - s*I) for each prime p dividing r - s of a strongly
+    regular graph with integer eigenvalues r > s, ranks its parameters leave
+    open (Brouwer and van Eijl, J. Algebraic Combin. 1 (1992)).  The srg field
+    agrees before this screen runs, so both graphs yield the same invariants."""
+    srg = check_srg(graph)
+    pair = srg.params.integer_eigenvalues if srg.is_srg else None
+    if pair is None:
+        return
+    r, s = pair
+    for p in sorted(factorize(r - s)):
+        shift = (-s) % p
+        yield f"mod_{p}_rank(A+{shift}I)", mod_p_rank(graph, p, shift)
+
+
+def _fields(*names: str) -> tuple:
+    return tuple(_one_pair("fingerprint", name, _FIELD_VALUES[name]) for name in names)
+
+
+#: The screens before the probe search (the SRG parameters or one product)
+#: and after it, in cost order: the edge profile, which refutes davis(p) at
+#: vertex 0 of a marked graph, before the O(n^3) spectral eliminations.
+_CHEAP_SCREENS = _fields("n", "degrees", "srg", "triangles")
+_COSTLY_SCREENS = (
+    *_fields("four_cliques", "mod_ranks", "distance_distribution"),
+    _one_pair(
+        "edge profile screen", "edge-neighborhood-edge-profile", edge_neighborhood_edge_profile
+    ),
+    ("spectral rank screen", _spectral_ranks),
+)
 
 
 # --- certificate checking ----------------------------------------------------------
@@ -445,49 +480,14 @@ def _refutation(invariant: str, values: tuple, decided_by: str) -> IsoDecision:
     )
 
 
-def _spectral_rank_screen(
-    g1: DenseGraph, g2: DenseGraph, params: SrgParams
-) -> Optional[IsoDecision]:
-    """mod_p_rank(A - s*I) for primes p dividing r - s (square-discriminant SRGs)."""
-    pair = params.integer_eigenvalues
-    if pair is None:
-        return None
-    _, s = pair
-    gap = pair[0] - pair[1]
-    for p in sorted(factorize(gap)):
-        shift = (-s) % p
-        r1 = mod_p_rank(g1, p, shift)
-        r2 = mod_p_rank(g2, p, shift)
-        if r1 != r2:
-            return _refutation(f"mod_{p}_rank(A+{shift}I)", (r1, r2), "spectral rank screen")
+def _first_difference(g1: DenseGraph, g2: DenseGraph, screens) -> Optional[IsoDecision]:
+    """Refute at the first (invariant, value) pair of the screens on which the
+    graphs differ; each value is computed only after the ones before it agree."""
+    for decided_by, screen in screens:
+        for (invariant, a), (_, b) in zip(screen(g1), screen(g2)):
+            if a != b:
+                return _refutation(invariant, (a, b), decided_by)
     return None
-
-
-def _fingerprint_screen(
-    g1: DenseGraph, g2: DenseGraph, fields: Sequence[str]
-) -> Optional[IsoDecision]:
-    """Refute at the first of these fingerprint fields on which the graphs
-    differ; each field is computed only after the ones before it agree."""
-    for name in fields:
-        a, b = _FIELD_VALUES[name](g1), _FIELD_VALUES[name](g2)
-        if a != b:
-            return _refutation(name, (a, b), "fingerprint")
-    return None
-
-
-def _costly_screens(g1: DenseGraph, g2: DenseGraph, srg1: SrgResult) -> Optional[IsoDecision]:
-    """The O(n^3) screens in order: the costly fingerprint fields, the
-    spectral rank screen (strongly regular pairs) and the edge profile."""
-    refuted = _fingerprint_screen(g1, g2, _COSTLY_FIELDS)
-    if refuted is None and srg1.is_srg:
-        refuted = _spectral_rank_screen(g1, g2, srg1.params)
-    if refuted is None:
-        prof1 = edge_neighborhood_edge_profile(g1)
-        prof2 = edge_neighborhood_edge_profile(g2)
-        if prof1 != prof2:
-            invariant = "edge-neighborhood-edge-profile"
-            refuted = _refutation(invariant, (prof1, prof2), "edge profile screen")
-    return refuted
 
 
 def _search(
@@ -545,16 +545,15 @@ def are_isomorphic(
     if g1.n != g2.n:
         return _refutation("vertex-count", (g1.n, g2.n), "vertex count")
     root = {0} if g2.vertex_transitive else None
-    srg1 = check_srg(g1)
-    deep = srg1.is_srg
+    deep = check_srg(g1).is_srg
     if not force_search:
-        refuted = _fingerprint_screen(g1, g2, _CHEAP_FIELDS)
+        refuted = _first_difference(g1, g2, _CHEAP_SCREENS)
         if refuted is not None:
             return refuted
         probe = _search(g1, g2, min(node_budget, PROBE_NODES), time_budget, root, deep)
         if probe.isomorphic:
             return probe
-        refuted = _costly_screens(g1, g2, srg1)
+        refuted = _first_difference(g1, g2, _COSTLY_SCREENS)
         if refuted is not None:
             return refuted
     return _search(g1, g2, node_budget, time_budget, root, deep)

@@ -242,8 +242,36 @@ class TestFingerprint:
         ranks = (312, 313, 312, 313, 625, 625, 625, 625)  # as eliminated before
         assert fingerprint(h).mod_ranks == tuple(zip(itertools.product((2, 3, 5, 7), (0, 1)), ranks))
         assert calls == []
-        assert iso._spectral_rank_screen(g, h, check_srg(g).params) is None
+        assert iso._first_difference(g, h, [("spectral rank screen", iso._spectral_ranks)]) is None
         assert calls == [(5, 3), (5, 3)]
+
+    def test_spectral_refutation_after_the_edge_profile(self, monkeypatch):
+        # paley(25) is (25, 12, 5, 6) with r - s = 5: its one spectral rank is
+        # that of A + 3I over Z_5, made one higher on the complement here
+        from cayleycert import graphs
+
+        g = build_cayley(paley(25).connection_set)
+        h = complement(g)
+        events = []
+        rank, edge_pass = iso.mod_p_rank, graphs._common_neighborhood_pass
+
+        def spy_rank(x, p, shift):
+            if (p, shift) == (5, 3):
+                events.append(("rank", x is h))
+            return rank(x, p, shift) + (x is h and (p, shift) == (5, 3))
+
+        monkeypatch.setattr(iso, "PROBE_NODES", 0)
+        monkeypatch.setattr(iso, "mod_p_rank", spy_rank)
+        monkeypatch.setattr(
+            graphs,
+            "_common_neighborhood_pass",
+            lambda x: events.append(("profile", x is h)) or edge_pass(x),
+        )
+        d = are_isomorphic(g, h)
+        r = rank(g, 5, 3)
+        assert (d.certificate.invariant, d.certificate.values) == ("mod_5_rank(A+3I)", (r, r + 1))
+        assert d.decided_by == "spectral rank screen"
+        assert events == [("profile", False), ("profile", True), ("rank", False), ("rank", True)]
 
     def test_one_all_source_bfs_per_graph(self, monkeypatch):
         from cayleycert import graphs
@@ -663,6 +691,10 @@ class TestVertexTransitiveRoot:
     def test_graph6_with_hint_runs_the_vertex_0_kernels(self, monkeypatch):
         from cayleycert import graphs
 
+        eliminations = []
+        odd, gf2 = graphs._odd_p_rank, graphs._gf2_rank
+        monkeypatch.setattr(graphs, "_odd_p_rank", lambda *a: eliminations.append(a[1:]) or odd(*a))
+        monkeypatch.setattr(graphs, "_gf2_rank", lambda rows: eliminations.append(2) or gf2(rows))
         conn = davis(5).connection_set
         g = build_cayley(conn)
         marked = is_self_complementary(g, conn, scan_automorphisms=False).to_json_dict()
@@ -680,8 +712,12 @@ class TestVertexTransitiveRoot:
         d = is_self_complementary(read, conn, scan_automorphisms=False)
         assert d.to_json_dict() == marked
         assert d.decided_by == "edge profile screen"
-        # the clique kernel, then the per-edge pass, each at vertex 0 of both graphs
+        # the clique kernel, then the per-edge pass, each at vertex 0 of both
+        # graphs; the profile refutes before any mod-p elimination
         assert visits == [0, 0, 0, 0]
+        assert eliminations == []
+        oracle = are_isomorphic(g, complement(g), force_search=True)
+        assert d.isomorphic == oracle.isomorphic
 
     def test_no_quadratic_table_is_cached_on_the_group(self):
         from cayleycert.groupalgebra import verify_schur_partition
