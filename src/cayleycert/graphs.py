@@ -24,7 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-#: The desk-scale budget: the largest graph, group or field order built.
+#: The desk-scale budget: the largest graph, group or field order built.  It
+#: also sizes colour refinement's keys: a neighbour count is at most n and a
+#: colour below 2n <= 8192, so both fit big-endian uint16 (below 2^16).
 MAX_ORDER = 4096
 
 #: Rows per float32 product in the SRG, triangle-count and distance-layer kernels.

@@ -313,68 +313,90 @@ def _refine_pair(
     c1: np.ndarray,
     c2: np.ndarray,
     deep: bool,
+    changed: Optional[np.ndarray] = None,
 ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Aligned iterated refinement of both colorings; None, None on conflict.
 
-    A1 and A2 are the float32 adjacency matrices.  Basic step: counts of
-    neighbors in every color class (neighbor-color multisets).  When stable
-    and still coarse, the optional deep step refines by the edge count inside
-    N(v) restricted to each class, which separates vertices of strongly
-    regular graphs that the counting step cannot.
+    A1 and A2 are the float32 adjacency matrices, and changed lists in
+    ascending order the colors whose cells changed since the coloring was
+    last equitable (None: every color).  Basic step: each round recolors
+    every vertex by the rank of its row (color, neighbor counts into each
+    changed cell) among the rows of both sides, and the cells that round
+    splits are the next round's changed cells; a round with no changed cell
+    is stable.  When stable and still coarse, the optional deep step refines
+    by the edge count inside N(v) restricted to each class, which separates
+    vertices of strongly regular graphs that the counting step cannot.
+
+    The colors are those of counting into every cell each round.  A coloring
+    is equitable when the vertices of each cell, on both sides together,
+    have the same count into each cell; every coloring this returns is
+    equitable or discrete, and search nodes refine only equitable ones.  A
+    count into a cell that has not changed since then is constant on each
+    cell of the current coloring, since a count constant on a cell stays
+    constant on its sub-cells.  Such a column never orders two rows of the
+    same color, and the color column orders rows of different colors, so
+    dropping it leaves every rank, and every conflict, as it was.
     """
     n = A1.shape[0]
-    ncolors = -1
+    if changed is None:
+        changed = np.arange(int(max(c1.max(initial=0), c2.max(initial=0))) + 1)
     while True:
-        # basic rounds until the color count stops growing
-        while True:
-            k = int(max(c1.max(initial=0), c2.max(initial=0))) + 1
-            split = _split(_neighbor_counts, A1, A2, c1, c2, k)
+        while len(changed):
+            split = _split(
+                A1, A2, c1, c2, len(changed), ">u2", lambda A, c: _neighbor_counts(A, c, changed)
+            )
             if split is None:
                 return None, None
-            c1, c2, count = split
-            if count == ncolors:
-                break
-            ncolors = count
-            if ncolors == n:
+            c1, c2, changed = split
+            if c1.max() + 1 == n:
                 return c1, c2
+        ncolors = int(c1.max()) + 1
         if not deep or ncolors > DEEP_REFINE_CELL_CAP:
             return c1, c2
-        split = _split(class_edge_counts, A1, A2, c1, c2, ncolors)
+        split = _split(
+            A1, A2, c1, c2, ncolors, ">u4", lambda A, c: class_edge_counts(A, c, ncolors)
+        )
         if split is None:
             return None, None
-        if split[2] == ncolors:
+        c1, c2, changed = split
+        if not len(changed):
             return c1, c2  # deep step split nothing; stable
-        c1, c2, ncolors = split
 
 
-def _neighbor_counts(A: np.ndarray, colors: np.ndarray, k: int) -> np.ndarray:
-    """out[v, c] = |N(v) & X_c|: one float32 product with the color indicator
-    matrix, exact since every count is at most n < 2^24."""
-    return A @ np.eye(k, dtype=np.float32)[colors]
+def _neighbor_counts(A: np.ndarray, colors: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """out[v, j] = |N(v) & X_cells[j]|: one float32 product with the indicator
+    matrix of the given cells, exact since every count is at most n < 2^24."""
+    return A @ np.equal.outer(colors, cells).astype(np.float32)
 
 
-def _split(counts, A1, A2, c1, c2, k) -> Optional[tuple[np.ndarray, np.ndarray, int]]:
+def _split(
+    A1, A2, c1, c2, width, dtype, counts
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Recolor both sides by the rank of each signature row (color(v),
-    counts(A, colors, k)[v]) among the rows of both sides: (colors 1,
-    colors 2, color count), or None when a color class has different sizes
-    on the two sides, so that no bijection respects the colorings."""
+    counts(A, colors)[v]) among the rows of both sides, each row written as
+    one key of width + 1 big-endian unsigned integers of dtype: (colors 1,
+    colors 2, the new colors whose cells are not those of their old color,
+    ascending), or None when a color class has different sizes on the two
+    sides, so that no bijection respects the colorings."""
     n = len(c1)
-    rows = np.vstack([counts(A1, c1, k), counts(A2, c2, k)])
-    rows = np.column_stack([np.concatenate([c1, c2]), rows])
-    keys, inverse = np.unique(_row_keys(rows), return_inverse=True)
+    rows = np.empty((2, n, 1 + width), dtype=dtype)
+    for half, A, colors in zip(rows, (A1, A2), (c1, c2)):
+        half[:, 0] = colors
+        half[:, 1:] = counts(A, colors)
+    keys, inverse = np.unique(_row_keys(rows.reshape(2 * n, 1 + width)), return_inverse=True)
     new1, new2, m = inverse[:n], inverse[n:], len(keys)
-    if not np.array_equal(np.bincount(new1, minlength=m), np.bincount(new2, minlength=m)):
+    sizes = np.bincount(new1, minlength=m)
+    if not np.array_equal(sizes, np.bincount(new2, minlength=m)):
         return None
-    return new1, new2, m
+    return new1, new2, np.unique(new1[sizes[new1] != np.bincount(c1)[c1]])
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte key per row of a matrix of integers in [0, 2^32):
-    the row as big-endian uint32.  numpy sorts such keys in memcmp order, the
-    rows' lexicographic order, so np.unique ranks the keys as
-    np.unique(rows, axis=0) ranks the rows, without its generic row sort."""
-    be = np.ascontiguousarray(rows, dtype=">u4")
-    return be.view(np.dtype((np.void, 4 * be.shape[1])))[:, 0]
+    """One fixed-width byte key per row of a C-contiguous matrix of
+    big-endian unsigned integers, as a view of it.  numpy sorts such keys in
+    memcmp order, the rows' lexicographic order, so np.unique ranks the keys
+    as np.unique(rows, axis=0) ranks the rows, without its generic row sort."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 # --- individualization-refinement search ----------------------------------------------
@@ -397,12 +419,9 @@ def _target_cell(c1: np.ndarray) -> Optional[int]:
 
 
 def _extract_bijection(c1: np.ndarray, c2: np.ndarray) -> list[int]:
-    order1 = np.argsort(c1, kind="stable")
-    order2 = np.argsort(c2, kind="stable")
-    perm = [0] * len(c1)
-    for v1, v2 in zip(order1, order2):
-        perm[int(v1)] = int(v2)
-    return perm
+    perm = np.empty(len(c1), dtype=np.int64)
+    perm[np.argsort(c1, kind="stable")] = np.argsort(c2, kind="stable")
+    return perm.tolist()
 
 
 def _ir_search(
@@ -453,7 +472,7 @@ def _ir_search(
             t2 = c2.copy()
             t1[v] = fresh
             t2[u] = fresh
-            r1, r2 = _refine_pair(A1, A2, t1, t2, deep)
+            r1, r2 = _refine_pair(A1, A2, t1, t2, deep, np.array([cell, fresh]))
             if r1 is None:
                 continue
             got = descend(r1, r2, depth + 1)

@@ -30,6 +30,8 @@ SEARCH_GOLDEN = {
     "paley169": (lambda: paley(169).connection_set, 93),
     "davis3": (lambda: davis(3).connection_set, 94),
     "paley841": (lambda: paley(841).connection_set, 95),
+    "P17xP13": (lambda: lex_product(paley(17).connection_set, paley(13).connection_set), 96),
+    "P9xP25": (lambda: lex_product(paley(9).connection_set, paley(25).connection_set), 97),
 }
 
 

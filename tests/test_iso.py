@@ -321,6 +321,115 @@ class TestRefinementInvariance:
             assert all(c1[v] == c2[perm[v]] for v in range(g.n))
 
 
+# --- the full-recount refinement, kept as the oracle of the incremental one ---------
+
+
+def reference_refine_pair(A1, A2, c1, c2, deep):
+    """The refinement that counted every round against every color class."""
+    n = A1.shape[0]
+    ncolors = -1
+    while True:
+        # basic rounds until the color count stops growing
+        while True:
+            k = int(max(c1.max(initial=0), c2.max(initial=0))) + 1
+            split = reference_split(reference_neighbor_counts, A1, A2, c1, c2, k)
+            if split is None:
+                return None, None
+            c1, c2, count = split
+            if count == ncolors:
+                break
+            ncolors = count
+            if ncolors == n:
+                return c1, c2
+        if not deep or ncolors > iso.DEEP_REFINE_CELL_CAP:
+            return c1, c2
+        split = reference_split(class_edge_counts, A1, A2, c1, c2, ncolors)
+        if split is None:
+            return None, None
+        if split[2] == ncolors:
+            return c1, c2  # deep step split nothing; stable
+        c1, c2, ncolors = split
+
+
+def reference_neighbor_counts(A, colors, k):
+    return A @ np.eye(k, dtype=np.float32)[colors]
+
+
+def reference_split(counts, A1, A2, c1, c2, k):
+    n = len(c1)
+    rows = np.vstack([counts(A1, c1, k), counts(A2, c2, k)])
+    rows = np.column_stack([np.concatenate([c1, c2]), rows])
+    be = np.ascontiguousarray(rows, dtype=">u4")
+    keys, inverse = np.unique(
+        be.view(np.dtype((np.void, 4 * be.shape[1])))[:, 0], return_inverse=True
+    )
+    new1, new2, m = inverse[:n], inverse[n:], len(keys)
+    if not np.array_equal(np.bincount(new1, minlength=m), np.bincount(new2, minlength=m)):
+        return None
+    return new1, new2, m
+
+
+def assert_same_refinement(got, want):
+    if want[0] is None:
+        assert got == (None, None)
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class TestIncrementalRefinement:
+    """Counting only against the changed cells gives the colors, and the
+    conflicts, of counting against every cell."""
+
+    def test_random_pairs_and_individualizations(self):
+        rng = random.Random(139)
+        for trial in range(40):
+            deep = trial % 2 == 1
+            n = rng.randrange(4, 15)
+            g = random_graph(n, rng.choice([0.3, 0.5]), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabel(perm) if trial % 4 < 2 else random_graph(n, 0.5, rng)
+            A1 = g.adjacency().astype(np.float32)
+            A2 = h.adjacency().astype(np.float32)
+            zeros = np.zeros(n, np.int64)
+            c1, c2 = _refine_pair(A1, A2, zeros, zeros, deep)
+            assert_same_refinement((c1, c2), reference_refine_pair(A1, A2, zeros, zeros, deep))
+            # individualize down one random branch, as the search does
+            while c1 is not None and (cell := iso._target_cell(c1)) is not None:
+                v = int(np.flatnonzero(c1 == cell)[0])
+                u = rng.choice(np.flatnonzero(c2 == cell).tolist())
+                fresh = int(c1.max()) + 1
+                t1, t2 = c1.copy(), c2.copy()
+                t1[v] = t2[u] = fresh
+                c1, c2 = _refine_pair(A1, A2, t1, t2, deep, np.array([cell, fresh]))
+                assert_same_refinement((c1, c2), reference_refine_pair(A1, A2, t1, t2, deep))
+
+    @pytest.mark.parametrize(
+        "conn",
+        [
+            lambda: lex_product(paley(13).connection_set, paley(9).connection_set),
+            lambda: paley(169).connection_set,
+            lambda: davis(3).connection_set,
+        ],
+        ids=["P13xP9", "paley169", "davis3"],
+    )
+    def test_every_search_node(self, monkeypatch, conn):
+        g = build_cayley(conn())
+        g = g.relabel(np.random.default_rng(149).permutation(g.n))
+        calls = []
+
+        def spy(A1, A2, c1, c2, deep, changed=None):
+            got = _refine_pair(A1, A2, c1, c2, deep, changed)
+            assert_same_refinement(got, reference_refine_pair(A1, A2, c1, c2, deep))
+            calls.append(changed is None)
+            return got
+
+        monkeypatch.setattr(iso, "_refine_pair", spy)
+        decision = are_isomorphic(g, complement(g), force_search=True)
+        assert decision.isomorphic
+        assert calls[0] and len(calls) > 1 and not any(calls[1:])
+
+
 class TestDeepSignature:
     def test_against_brute_force(self):
         rng = random.Random(113)
@@ -343,7 +452,10 @@ class TestDeepSignature:
 
 
 class TestRowKeys:
-    """The byte keys rank rows exactly as np.unique(rows, axis=0) does."""
+    """The byte keys rank rows exactly as np.unique(rows, axis=0) does, in
+    both key widths: uint16 for neighbour counts, uint32 for the deep step."""
+
+    WIDTHS = {">u2": 2**16, ">u4": 2**32}
 
     def matrices(self):
         rng = np.random.default_rng(127)
@@ -357,16 +469,29 @@ class TestRowKeys:
             yield M
 
     def test_ranks_equal_unique_rows(self):
-        for M in self.matrices():
-            uniq, inverse = np.unique(M, axis=0, return_inverse=True)
-            keys, key_inverse = np.unique(_row_keys(M), return_inverse=True)
-            assert len(keys) == len(uniq)
-            assert np.array_equal(key_inverse.ravel(), inverse.ravel())
+        for dtype, top in self.WIDTHS.items():
+            tested = 0
+            for M in self.matrices():
+                if M.max() >= top:
+                    continue  # entries past this width
+                uniq, inverse = np.unique(M, axis=0, return_inverse=True)
+                keys, key_inverse = np.unique(_row_keys(M.astype(dtype)), return_inverse=True)
+                assert len(keys) == len(uniq)
+                assert np.array_equal(key_inverse.ravel(), inverse.ravel())
+                tested += 1
+            assert tested >= 40
 
     def test_largest_entries(self):
-        M = np.array([[2**32 - 1, 0], [2**24, 2**31], [2**24, 2**31 - 1], [0, 2**32 - 1]])
-        _, inverse = np.unique(_row_keys(M), return_inverse=True)
-        assert inverse.tolist() == [3, 2, 1, 0]
+        for dtype, M in [
+            (">u4", [[2**32 - 1, 0], [2**24, 2**31], [2**24, 2**31 - 1], [0, 2**32 - 1]]),
+            (">u2", [[2**16 - 1, 0], [2**8, 2**15], [2**8, 2**15 - 1], [0, 2**16 - 1]]),
+        ]:
+            _, inverse = np.unique(_row_keys(np.array(M, dtype=dtype)), return_inverse=True)
+            assert inverse.tolist() == [3, 2, 1, 0]
+
+    def test_keys_are_a_view(self):
+        rows = np.arange(12).astype(">u2").reshape(4, 3)
+        assert np.shares_memory(_row_keys(rows), rows)
 
 
 class TestRecursionLimit:
