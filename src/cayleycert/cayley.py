@@ -2,7 +2,8 @@
 
 Vertices are numbered by the group's mixed-radix enumeration; indices i, j
 are adjacent iff g_i - g_j lies in the connection set.  Inverse-closure of
-the set makes the relation symmetric.
+the set makes the relation symmetric.  The adjacency is the translates of
+the set's indicator (AbelianGroup.translates).
 """
 
 from __future__ import annotations
@@ -88,33 +89,25 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular
     and marked vertex-transitive, as the translations are automorphisms.
 
-    A[i, j] is the indicator of S at g_j - g_i, gathered from that indicator
-    shaped as G.factors: factor p contributes the small table (j_p - i_p) mod
-    n_p, broadcast along its own axis of i and of j.
+    A[i, j] is the indicator of S at g_j - g_i: the translates of that
+    indicator, G.translates, reshaped to n x n.
     """
     G = conn.group
     n = G.order
     check_order_budget("group", n)
     indicator = np.zeros(n, dtype=np.uint8)
     indicator[conn.indices()] = 1
-    k = G.rank
-    diffs = []
-    for p, m in enumerate(G.factors):
-        shape = [1] * (2 * k)
-        shape[p] = shape[k + p] = m
-        r = np.arange(m)
-        diffs.append(((r[None, :] - r[:, None]) % m).reshape(shape))
-    A = indicator.reshape(G.factors)[tuple(diffs)].reshape(n, n)
-    return DenseGraph(A, vertex_transitive=True)
+    return DenseGraph(G.translates(indicator).reshape(n, n), vertex_transitive=True)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
     """G minus (S and the identity); the Cayley graph of it is the complement."""
     G = conn.group
+    res = G.residue_matrix  # its build checks the order budget, before any allocation here
     keep = np.ones(G.order, dtype=bool)
     keep[0] = False  # the identity
     keep[conn.indices()] = False
-    return ConnectionSet(G, frozenset(map(tuple, G.residue_matrix[keep].tolist())))
+    return ConnectionSet(G, frozenset(map(tuple, res[keep].tolist())))
 
 
 def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:

@@ -4,8 +4,9 @@ identity checks.
 Every identity checked here is a product of subsets of G.  A subset is an
 index array into the group enumeration, and the product X*Y is the int64
 coefficient vector counting, for each w, the pairs (x, y) in X x Y with
-x + y = w: the pair sums, indexed one coordinate at a time, and one exact
-integer count, with no transforms and no floating point.
+x + y = w: the sum over x in X of the multiplicity of w - x in Y, read off
+the translates of Y's multiplicities (AbelianGroup.translates), an exact
+integer count with no transforms and no floating point.
 """
 
 from __future__ import annotations
@@ -16,24 +17,23 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .cayley import ConnectionSet, complement_connection_set
+from .graphs import check_order_budget
 from .groups import AbelianGroup, GroupElement
 
 
 def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
     """X*Y for index arrays x, y: coefficient of w = #{(i, j) : g_i + g_j = w}.
 
-    The pair sums are indexed one coordinate at a time, in int32: the index
-    of g_i + g_j is i + j less n_pos * w_pos for each position pos where the
-    residues carry (r_i + r_j >= n_pos).  A count is at most |X|*|Y| <=
-    MAX_ORDER**2 = 2**24, so int64 is exact.
+    That is the sum over i in x of the multiplicity in y of w - g_i: the
+    rows at x of the translates of y's int32 multiplicities, summed in int64.
+    Repeated entries count once per repeat.  A count is at most |X|*|Y|, so
+    int64 is exact.  The order budget is checked before any vector of the
+    group's order is allocated.
     """
-    rx = group.residue_matrix[x].astype(np.int32)
-    ry = group.residue_matrix[y].astype(np.int32)
-    pairs = np.add.outer(np.asarray(x, dtype=np.int32), np.asarray(y, dtype=np.int32))
-    for pos, (n, w) in enumerate(zip(group.factors, group.index_weights.tolist())):
-        carry = rx[:, pos, None] + ry[None, :, pos] >= n
-        pairs -= carry * np.int32(n * w)
-    return np.bincount(pairs.ravel(), minlength=group.order).astype(np.int64, copy=False)
+    check_order_budget("group", group.order)
+    mult = np.bincount(np.asarray(y, dtype=np.intp), minlength=group.order).astype(np.int32)
+    rows = group.translates(mult)[np.unravel_index(np.asarray(x, dtype=np.intp), group.factors)]
+    return rows.sum(axis=0, dtype=np.int64).reshape(group.order)
 
 
 # --- identity checks --------------------------------------------------------------
@@ -78,10 +78,11 @@ def verify_pds(
     d = np.array([group.index_of(tuple(g)) for g in D], dtype=np.int64)
     if np.unique(d).size != d.size:
         raise ValueError("duplicate element in D")
+    actual = ga_mul(group, d, group.neg_table[d])
     expected = np.full(group.order, mu, dtype=np.int64)
     expected[d] = lam
     expected[0] = d.size
-    return _compare(group, ga_mul(group, d, group.neg_table[d]), expected)
+    return _compare(group, actual, expected)
 
 
 def verify_srg_equation(
@@ -94,10 +95,11 @@ def verify_srg_equation(
             f"params {params} disagree with |G|={group.order}, |S|={conn.size}"
         )
     s = conn.indices()
+    actual = ga_mul(group, s, s)
     expected = np.full(n, mu, dtype=np.int64)
     expected[s] = lam
     expected[0] += k - mu
-    return _compare(group, ga_mul(group, s, s), expected)
+    return _compare(group, actual, expected)
 
 
 def verify_mixed_product(
@@ -109,10 +111,10 @@ def verify_mixed_product(
             f"mixed product needs |G| = 4t+1 and |S| = 2t; "
             f"got |G|={group.order}, |S|={conn.size}, t={t}"
         )
+    actual = ga_mul(group, conn.indices(), complement_connection_set(conn).indices())
     expected = np.full(group.order, t, dtype=np.int64)
     expected[0] = 0
-    rest = complement_connection_set(conn).indices()
-    return _compare(group, ga_mul(group, conn.indices(), rest), expected)
+    return _compare(group, actual, expected)
 
 
 def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckResult:

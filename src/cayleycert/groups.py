@@ -1,8 +1,10 @@
 """Finite abelian groups presented as products of cyclic factors.
 
 Vertex numbering everywhere in the toolkit is the mixed-radix enumeration
-order fixed here, and a group's arithmetic is its read-only index tables:
-residues, negation and element orders.  Residue tuples appear only at the
+order fixed here, and a group's arithmetic is its read-only index tables
+(residues, negation and element orders) and its translation action: the
+view translates(v) of a vector v over G, t[i, j] = v[g_j - g_i], behind both
+Cayley adjacency and subset products.  Residue tuples appear only at the
 text/JSON boundary (contains, index_of, element_of).  Groups are additive:
 the difference convention a - b replaces the multiplicative a*b^-1.
 """
@@ -16,6 +18,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graphs import check_order_budget, is_permutation
 
@@ -93,13 +96,8 @@ class AbelianGroup:
         index i.  Every other table derives from it, so the order budget
         checked here guards them all."""
         check_order_budget("group", self.order)
-        mat = np.zeros((self.order, self.rank), dtype=np.int64)
-        idx = np.arange(self.order)
-        for pos in range(self.rank - 1, -1, -1):
-            n = self.factors[pos]
-            mat[:, pos] = idx % n
-            idx = idx // n
-        return _read_only(mat)
+        residues = np.unravel_index(np.arange(self.order, dtype=np.int64), self.factors)
+        return _read_only(np.stack(residues, axis=1).astype(np.int64, copy=False))
 
     @cached_property
     def index_weights(self) -> np.ndarray:
@@ -121,6 +119,18 @@ class AbelianGroup:
         """Order of every element, by index."""
         factors = np.array(self.factors, dtype=np.int64)
         return _read_only(np.lcm.reduce(factors // np.gcd(self.residue_matrix, factors), axis=1))
+
+    def translates(self, v: np.ndarray) -> np.ndarray:
+        """Read-only view t of a vector v over G with t[i, j] = v[g_j - g_i],
+        shaped factors + factors: one axis per factor for i, then for j.
+
+        No index table and no n x n copy: v, shaped as the factors, is
+        wrap-padded by n_p - 1 in front of each axis (prod(2 n_p - 1) entries
+        in all), and its window of length n_p starting at n_p - 1 - i_p holds
+        v at the residues j_p - i_p mod n_p for j_p = 0, ..., n_p - 1.
+        """
+        padded = np.pad(np.reshape(v, self.factors), [(n - 1, 0) for n in self.factors], mode="wrap")
+        return sliding_window_view(padded, self.factors)[(slice(None, None, -1),) * self.rank]
 
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
@@ -221,24 +231,13 @@ def _automorphism_batches(
             f"enumeration infeasible: {total} candidate image tuples exceed "
             f"{AUT_MAX_CANDIDATES}"
         )
-    k = G.rank
     res = G.residue_matrix
     reps = _prime_order_representatives(G)
-
-    sizes = [len(a) for a in allowed]
-    radix = np.ones(k, dtype=np.int64)
-    for pos in range(k - 2, -1, -1):
-        radix[pos] = radix[pos + 1] * sizes[pos + 1]
-
     for start in range(0, total, batch_size):
         stop = min(start + batch_size, total)
-        flat = np.arange(start, stop, dtype=np.int64)
         # Decode flat candidate ids into per-position allowed-image indices.
-        img_idx = np.empty((stop - start, k), dtype=np.int64)
-        rem = flat
-        for pos in range(k):
-            digit, rem = np.divmod(rem, radix[pos])
-            img_idx[:, pos] = allowed[pos][digit]
+        digits = np.unravel_index(np.arange(start, stop, dtype=np.int64), [len(a) for a in allowed])
+        img_idx = np.stack([a[d] for a, d in zip(allowed, digits)], axis=1)
         mats = res[img_idx]  # (B, k, k): row i = residues of image of e_i
         in_kernel = np.ones((stop - start, len(reps)), dtype=bool)
         for j, n in enumerate(G.factors):

@@ -1,6 +1,7 @@
 """Connection sets, Cayley graph construction, complements, products."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,20 @@ class TestBuild:
         conn = ConnectionSet(AbelianGroup((1000000007,)), frozenset({(1,), (1000000006,)}))
         with pytest.raises(ValueError, match="group order 1000000007 exceeds the desk-scale budget"):
             build_cayley(conn)
+
+    def test_cyclic_build_peaks_under_4n2_bytes(self):
+        # the n x n uint8 result, and no (j - i) mod n index table beside it
+        conn = paley(4093).connection_set
+        conn.indices()
+        n = conn.group.order
+        tracemalloc.start()
+        try:
+            g = build_cayley(conn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        assert peak < 4 * n * n
 
 
 def marked_corpus() -> list[ConnectionSet]:

@@ -1,12 +1,14 @@
 """Exact group-algebra convolution and the PDS / Schur-ring identity checks."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cayleycert.cayley import validate_connection_set
+from cayleycert.cayley import ConnectionSet, validate_connection_set
 from cayleycert.families import davis, paley
+from cayleycert.graphs import MAX_ORDER, BudgetError
 from cayleycert.groupalgebra import (
     ga_mul,
     verify_mixed_product,
@@ -247,6 +249,50 @@ class TestSchurPartition:
         res = verify_schur_partition(Z13, conn)
         assert not res.ok
         assert res.witness["product"]
+
+
+class TestOrderBudget:
+    """Past MAX_ORDER each check raises BudgetError before it allocates a
+    vector of the group's order (Z1000000007 would ask for 8 GB)."""
+
+    CHECKS = {
+        "ga_mul": lambda G, small, half: ga_mul(G, [1], [1]),
+        "verify_pds": lambda G, small, half: verify_pds(G, small.elements, 0, 1),
+        "verify_srg_equation": lambda G, small, half: verify_srg_equation(
+            G, small, (G.order, small.size, 0, 1)
+        ),
+        "verify_mixed_product": lambda G, small, half: verify_mixed_product(
+            G, half, (G.order - 1) // 4
+        ),
+    }
+
+    @staticmethod
+    def sets(G):
+        """{1, -1} and {1, -1, ..., t, -t} with |G| = 4t + 1, built directly
+        so that no table of G is touched."""
+        n = G.order
+        small = ConnectionSet(G, frozenset({(1,), (n - 1,)}))
+        half = ConnectionSet(G, frozenset((r,) for i in range(1, (n - 1) // 4 + 1) for r in (i, n - i)))
+        return small, half
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_raises_before_allocating(self, name):
+        check = self.CHECKS[name]
+        Z5 = AbelianGroup((5,))
+        check(Z5, *self.sets(Z5))  # first-call imports and caches are not counted
+        G = AbelianGroup((MAX_ORDER + 1,))
+        small, half = self.sets(G)
+        assert half.size == (G.order - 1) // 2
+        for conn in (small, half):
+            conn.indices()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="group order 4097 exceeds"):
+                check(G, small, half)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * G.order  # less than one int64 per element was allocated
 
 
 class TestWholeGroupIdentity:

@@ -299,6 +299,40 @@ class TestArithmetic:
         assert set(vars(G)) == {"factors"}  # nothing was cached
 
 
+class TestTranslates:
+    @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_against_oracle(self, factors):
+        """t[i, j] = v[g_j - g_i] for a 0/1 indicator and for int32
+        multiplicities with repeated values."""
+        G = AbelianGroup(factors)
+        n = G.order
+        elems = oracle_elements(G)
+        diff = np.array([[G.index_of(oracle_add(G, h, oracle_neg(G, g))) for h in elems] for g in elems])
+        rng = np.random.default_rng(n)
+        indicator = (rng.random(n) < 0.4).astype(np.uint8)
+        counts = rng.integers(0, 4, n).astype(np.int32)
+        for v in (indicator, counts):
+            t = G.translates(v)
+            assert t.shape == G.factors + G.factors
+            assert t.dtype == v.dtype
+            assert not t.flags.writeable
+            assert np.array_equal(t.reshape(n, n), v[diff])
+
+    def test_widest_padding(self):
+        # Z2^12: n = 4096, the padding holds 3^12 entries; 20 rows against the residues
+        G = AbelianGroup((2,) * 12)
+        n = G.order
+        rng = np.random.default_rng(12)
+        v = rng.integers(0, 5, n).astype(np.int32)
+        t = G.translates(v)
+        res = G.residue_matrix
+        for i in rng.choice(n, 20, replace=False):
+            row = t[np.unravel_index(i, G.factors)].reshape(n)
+            assert np.array_equal(row, v[(res - res[i]) % 2 @ G.index_weights])
+        with pytest.raises(ValueError, match="read-only"):
+            t[0, ...] = 0
+
+
 class TestElementOrder:
     def test_examples(self):
         G = AbelianGroup((9, 9))
