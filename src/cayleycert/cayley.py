@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import DenseGraph, check_order_budget
+from .graphs import DenseGraph, SelfCheckError, check_order_budget
 from .groups import AbelianGroup, GroupElement, parse_group_spec
 
 
@@ -90,14 +90,27 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     and marked vertex-transitive, as the translations are automorphisms.
 
     A[i, j] is the indicator of S at g_j - g_i: the translates of that
-    indicator, G.translates, reshaped to n x n.
+    indicator, G.translates, copied once into a C-contiguous n x n array.
+    The indicator is checked in O(n), also under python -O: it is 0/1 as
+    written here, 0 at the identity and equal to itself at -g.  So A is 0/1,
+    A[i, i] = indicator[0] = 0 and A[j, i] = indicator[g_i - g_j] = A[i, j],
+    and DenseGraph's n x n checks are not run again.  A set that holds the
+    identity or is not inverse-closed (one built without
+    validate_connection_set) raises SelfCheckError.
     """
     G = conn.group
     n = G.order
     check_order_budget("group", n)
     indicator = np.zeros(n, dtype=np.uint8)
     indicator[conn.indices()] = 1
-    return DenseGraph(G.translates(indicator).reshape(n, n), vertex_transitive=True)
+    if indicator[0]:
+        raise SelfCheckError("the connection set holds the identity")
+    unpaired = np.flatnonzero(indicator != indicator[G.neg_table])
+    if unpaired.size:
+        g = G.element_of(int(unpaired[0]))
+        raise SelfCheckError(f"the connection set is not inverse-closed at {g}")
+    A = np.ascontiguousarray(G.translates(indicator).reshape(n, n))
+    return DenseGraph._proven(A, vertex_transitive=True)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:

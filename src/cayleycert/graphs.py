@@ -2,7 +2,8 @@
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
 kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency), one edges-inside
+products of a block of 0/1 rows with the adjacency, or at vertex 0 of a
+graph marked vertex-transitive int32 sums of its rows), one edges-inside
 product behind the triangle count, the 4-clique count (one per vertex, at
 the second vertex of each 4-clique), the per-edge pass of the edge profile
 and the deep color refinement, the odd-p ranks (lazily reduced elimination
@@ -51,13 +52,20 @@ def check_order_budget(kind: str, order: int) -> None:
 
 class DenseGraph:
     """Undirected simple graph, stored as its read-only n x n 0/1 uint8
-    adjacency matrix.  DenseGraph(A) checks A and keeps a copy of it.
+    adjacency matrix.
+
+    What is checked where: DenseGraph(A) checks every entry of A (0 or 1),
+    its diagonal (no loop) and its symmetry, in n x n passes, and keeps a copy
+    of it.  build_cayley checks the indicator of its connection set in O(n)
+    instead, which proves its translates 0/1, loop-free and symmetric, and
+    keeps them unchecked and uncopied; relabel and complement, which derive
+    from a checked graph, keep their arrays the same way.
 
     vertex_transitive=True is a fact the caller guarantees, not one checked
-    here: Aut(G) moves vertex 0 to every vertex.  The SRG, distance, clique
-    and per-edge kernels then stop after vertex 0.  Only build_cayley sets it,
-    since the translations of the group are automorphisms of every Cayley
-    graph."""
+    here: Aut(G) moves vertex 0 to every vertex.  The graph is then regular,
+    and the SRG, distance, clique and per-edge kernels stop after vertex 0.
+    Only build_cayley sets it, since the translations of the group are
+    automorphisms of every Cayley graph."""
 
     def __init__(self, A, *, vertex_transitive: bool = False):
         A = np.asarray(A)
@@ -75,8 +83,20 @@ class DenseGraph:
             raise ValueError(f"loop at vertex {loops[0]}")
         A = A.astype(np.uint8, order="C")
         _first_pair(A != A.T, "adjacency not symmetric at pair {}")
+        self._keep(A, vertex_transitive)
+
+    @classmethod
+    def _proven(cls, A: np.ndarray, vertex_transitive: bool) -> "DenseGraph":
+        """The graph on A itself, neither checked nor copied: A is a fresh
+        C-contiguous n x n uint8 array, 0/1, loop-free and symmetric, which
+        its maker proves (see the class docstring)."""
+        graph = cls.__new__(cls)
+        graph._keep(A, vertex_transitive)
+        return graph
+
+    def _keep(self, A: np.ndarray, vertex_transitive: bool) -> None:
         A.setflags(write=False)
-        self.n = n
+        self.n = A.shape[0]
         self._adjacency = A
         self._vertex_transitive = bool(vertex_transitive)
         self._cache: dict = {}
@@ -133,9 +153,6 @@ class DenseGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self._adjacency)) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._adjacency[u, v])
-
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self._adjacency, 1))
         return list(zip(us.tolist(), vs.tolist()))
@@ -146,7 +163,7 @@ class DenseGraph:
         if len(p) != self.n or not is_permutation(p):
             raise ValueError(f"{p.tolist()} is not a permutation of 0..{self.n - 1}")
         inverse = np.argsort(p)
-        return DenseGraph(
+        return DenseGraph._proven(
             self._adjacency[np.ix_(inverse, inverse)], vertex_transitive=self.vertex_transitive
         )
 
@@ -355,7 +372,7 @@ class DistanceRegularResult:
 def complement(graph: DenseGraph) -> DenseGraph:
     A = graph.adjacency() ^ 1
     np.fill_diagonal(A, 0)
-    return DenseGraph(A, vertex_transitive=graph.vertex_transitive)
+    return DenseGraph._proven(A, vertex_transitive=graph.vertex_transitive)
 
 
 def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
@@ -408,15 +425,20 @@ def _distance_blocks(graph: DenseGraph, stop: int, A: Optional[np.ndarray] = Non
     in source order: dist[j, x] is the distance from sources[j] to x, -1 when
     x is not reached.  A is the caller's float32 copy of the adjacency, if it
     has one; otherwise the layer products make their own (64 MiB at n = 4096).
+    Source 0 alone needs no copy, and A is not read.
 
-    Layer products cost about 2n flops per source, vertex and layer, so they
-    are used only while n times the eccentricity of vertex 0 is at most
-    LAYER_PRODUCT_LIMIT; past it (long cycles and paths, say) each source
-    gets a bit-row BFS, whose cost grows with n but not with the number of
-    layers.
+    Source 0 alone (stop = 1, as on a graph marked vertex-transitive) is the
+    memoised BFS row of vertex 0.  Otherwise layer products
+    cost about 2n flops per source, vertex and layer, so they are used only
+    while n times the eccentricity of vertex 0 is at most LAYER_PRODUCT_LIMIT;
+    past it (long cycles and paths, say) each source gets a bit-row BFS,
+    whose cost grows with n but not with the number of layers.
     """
-    n = graph.n
-    products = n * int(graph._memo(_base_distances).max()) <= LAYER_PRODUCT_LIMIT
+    base = graph._memo(_base_distances)
+    if stop == 1:
+        yield np.arange(1), base[None]
+        return
+    products = graph.n * int(base.max()) <= LAYER_PRODUCT_LIMIT
     if products and A is None:
         A = graph.adjacency().astype(np.float32)
     for start in range(0, stop, ROW_BLOCK):
@@ -446,19 +468,34 @@ def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _rows_sum(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """mask @ A for the uint8 adjacency A and a 0/1 vector mask, as the int32
+    sum of the rows of A that mask selects, ROW_BLOCK rows at a time: entry x
+    counts the neighbours of x in the mask.  Exact, with no float32 copy."""
+    rows = np.flatnonzero(mask)
+    out = np.zeros(A.shape[1], dtype=np.int32)
+    for start in range(0, len(rows), ROW_BLOCK):
+        out += A[rows[start : start + ROW_BLOCK]].sum(axis=0, dtype=np.int32)
+    return out
+
+
 def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(above, below): above[j, x] and below[j, x] count the neighbours of x
     one layer farther from and one layer nearer to sources[j], in a
     connected k-regular graph.
 
     A neighbour of x lies in x's layer or in one next to it, and those three
-    layers differ mod 3, so two float32 products (exact as in
-    _product_distances) count the neighbours in the layers = 0 and = 1 mod 3,
-    and k minus both counts those in the layers = 2 mod 3.
+    layers differ mod 3, so two counts give the neighbours in the layers = 0
+    and = 1 mod 3, and k minus both those in the layers = 2 mod 3.  A is the
+    float32 adjacency, and the counts are products with it (exact as in
+    _product_distances), or the uint8 adjacency when dist is the one row of
+    source 0, and the counts are _rows_sum over the layers.
     """
     residue = dist % 3
-    c0 = (residue == 0).astype(np.float32) @ A
-    c1 = (residue == 1).astype(np.float32) @ A
+    if A.dtype == np.uint8:
+        c0, c1 = (_rows_sum(A, residue[0] == r)[None] for r in (0, 1))
+    else:
+        c0, c1 = ((residue == r).astype(np.float32) @ A for r in (0, 1))
     counts = [c0, c1, k - c0 - c1]
     above = np.choose((residue + 1) % 3, counts).astype(np.int32)
     below = np.choose((residue + 2) % 3, counts).astype(np.int32)
@@ -504,7 +541,10 @@ def diameter(graph: DenseGraph) -> Optional[int]:
 
 def _not_regular(graph: DenseGraph) -> Optional[tuple[int, int, int, int]]:
     """(0, u, k, deg u) for the first vertex u whose degree differs from
-    vertex 0's, or None when the graph is regular."""
+    vertex 0's, or None when the graph is regular: at once on a graph marked
+    vertex-transitive, whose automorphisms carry vertex 0 to every vertex."""
+    if graph.vertex_transitive:
+        return None
     degs = graph.degrees()
     for u in range(1, graph.n):
         if degs[u] != degs[0]:
@@ -523,9 +563,9 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     ROW_BLOCK rows at a time, and compare the upper triangle with lam on edges
     and mu on non-edges.  lam and mu come from the first edge and the first
     non-edge in row-major order, and the witness is the first pair that
-    differs in that order.  The rows stop at _source_stop, so a graph marked
-    vertex-transitive checks row 0 alone.  The float32 product is exact for
-    the reason given in _product_distances.
+    differs in that order.  The float32 product is exact for the reason given
+    in _product_distances.  A graph marked vertex-transitive checks row 0
+    alone, the int32 _rows_sum of the rows N(0) of the uint8 adjacency.
     """
     n = graph.n
     witness = _not_regular(graph)
@@ -544,17 +584,18 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     v_mu = int(np.flatnonzero(A[0, 1:] == 0)[0]) + 1
     lam = int(np.count_nonzero(A[0] & A[v_lam]))
     mu = int(np.count_nonzero(A[0] & A[v_mu]))
-    A32 = A.astype(np.float32)
-    end = _source_stop(graph)
-    for start in range(0, end, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, end)
-        # C[i, j] = |N(start + i) & N(start + j)|: only columns from start on
-        # meet the upper triangle, and the diagonal is C[i, i].
-        C = A32[start:stop] @ A32[:, start:]
+    # (start, C): C[i, j] = |N(start + i) & N(start + j)| for the columns from
+    # start on, which alone meet the upper triangle; the diagonal is C[i, i]
+    if graph.vertex_transitive:
+        blocks = [(0, _rows_sum(A, A[0])[None])]
+    else:
+        A32 = A.astype(np.float32)
+        blocks = ((s, A32[s : s + ROW_BLOCK] @ A32[:, s:]) for s in range(0, n, ROW_BLOCK))
+    for start, C in blocks:
         if (np.diagonal(C) != k).any():
             raise SelfCheckError(f"a diagonal count in the block at row {start} is not k = {k}")
-        block = A[start:stop, start:]
-        bad = np.triu(C != np.where(block, np.float32(lam), np.float32(mu)), 1)
+        block = A[start : start + len(C), start:]
+        bad = np.triu(C != np.where(block, C.dtype.type(lam), C.dtype.type(mu)), 1)
         if bad.any():
             i, j = divmod(int(np.flatnonzero(bad)[0]), n - start)
             pair, c = (start + i, start + j), int(C[i, j])
@@ -571,16 +612,6 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     return SrgResult(params)
 
 
-def check_adjacency_identity(graph: DenseGraph, params: SrgParams) -> bool:
-    """Exact check of A^2 = lam*A + mu*(J - I - A) + k*I in integer matrices."""
-    n, k, lam, mu = params.as_tuple()
-    if n != graph.n:
-        return False
-    A = graph.adjacency().astype(np.int64)
-    I = np.eye(n, dtype=np.int64)
-    return bool(np.array_equal(A @ A, lam * A + mu * (1 - I - A) + k * I))
-
-
 def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
     """Distance partition from every base vertex (vertex 0 alone on a graph
     marked vertex-transitive); b_i, c_i must be constant.
@@ -594,8 +625,10 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
     if witness is not None:
         return DistanceRegularResult(None, "not regular", witness)
     k = graph.degree(0)
-    A = graph.adjacency().astype(np.float32)
-    for sources, dist in _distance_blocks(graph, _source_stop(graph), A):
+    stop = _source_stop(graph)
+    # source 0 alone is counted on the stored uint8 rows, blocks of sources by float32 products
+    A = graph.adjacency() if stop == 1 else graph.adjacency().astype(np.float32)
+    for sources, dist in _distance_blocks(graph, stop, A):
         if sources[0] == 0 and (dist[0] < 0).any():
             return DistanceRegularResult(None, "disconnected", None)
         above, below = _layer_counts(A, dist, k)
@@ -897,10 +930,6 @@ def from_graph6(text: str) -> DenseGraph:
     lower = np.zeros((n, n), dtype=np.uint8)
     lower[_graph6_order(n)] = bits[:pairs]
     return DenseGraph(lower | lower.T)
-
-
-def to_edge_list(graph: DenseGraph) -> str:
-    return "\n".join(f"{u} {v}" for u, v in graph.edges()) + "\n"
 
 
 def from_edge_list(text: str, n: Optional[int] = None) -> DenseGraph:

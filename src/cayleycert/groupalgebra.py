@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .cayley import ConnectionSet, complement_connection_set
-from .graphs import check_order_budget
+from .graphs import ROW_BLOCK, check_order_budget
 from .groups import AbelianGroup, GroupElement
 
 
@@ -25,15 +25,20 @@ def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
     """X*Y for index arrays x, y: coefficient of w = #{(i, j) : g_i + g_j = w}.
 
     That is the sum over i in x of the multiplicity in y of w - g_i: the
-    rows at x of the translates of y's int32 multiplicities, summed in int64.
-    Repeated entries count once per repeat.  A count is at most |X|*|Y|, so
-    int64 is exact.  The order budget is checked before any vector of the
-    group's order is allocated.
+    rows at x of the translates of y's int32 multiplicities, gathered
+    ROW_BLOCK at a time and summed in int64.  Repeated entries count once per
+    repeat.  A count is at most |X|*|Y|, so int64 is exact.  The order budget
+    is checked before any vector of the group's order is allocated.
     """
     check_order_budget("group", group.order)
     mult = np.bincount(np.asarray(y, dtype=np.intp), minlength=group.order).astype(np.int32)
-    rows = group.translates(mult)[np.unravel_index(np.asarray(x, dtype=np.intp), group.factors)]
-    return rows.sum(axis=0, dtype=np.int64).reshape(group.order)
+    t = group.translates(mult)
+    x = np.asarray(x, dtype=np.intp)
+    out = np.zeros(group.factors, dtype=np.int64)
+    for start in range(0, len(x), ROW_BLOCK):
+        rows = t[np.unravel_index(x[start : start + ROW_BLOCK], group.factors)]
+        out += rows.sum(axis=0, dtype=np.int64)
+    return out.reshape(group.order)
 
 
 # --- identity checks --------------------------------------------------------------

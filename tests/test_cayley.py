@@ -1,6 +1,8 @@
 """Connection sets, Cayley graph construction, complements, products."""
 
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from cayleycert.cayley import (
 from cayleycert.families import davis, paley, peisert
 from cayleycert.graphs import (
     DenseGraph,
+    SelfCheckError,
     check_srg,
     complement,
     edge_neighborhood_edge_profile,
@@ -29,7 +32,8 @@ from cayleycert.graphs import (
 )
 from cayleycert.groups import AbelianGroup
 
-from test_groups import oracle_add, oracle_elements, oracle_neg, oracle_translation
+from test_graphs import check_adjacency_identity
+from test_groups import ORACLE_GROUPS, oracle_add, oracle_elements, oracle_neg, oracle_translation
 
 
 def random_inverse_closed(G: AbelianGroup, rng: random.Random) -> ConnectionSet:
@@ -203,6 +207,72 @@ class TestBuild:
         assert g.n == n
         assert peak < 4 * n * n
 
+    def test_marked_kernels_peak_under_2n2_bytes(self):
+        # one n x n uint8 array for the build and no n x n float32 copy in
+        # check_srg, intersection_array or sphere_sizes, which read vertex 0
+        conn = davis(7).connection_set
+        n = conn.group.order
+        tracemalloc.start()
+        try:
+            g = build_cayley(conn)
+            _, build_peak = tracemalloc.get_traced_memory()
+            srg, dr = check_srg(g), intersection_array(g)
+            sphere_sizes(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert srg.is_srg and dr.is_distance_regular
+        assert n * n <= build_peak < 2 * n * n
+        assert peak < 2 * n * n
+        # the trace sees an unmarked copy's n x n float32 product operand (4 n^2)
+        tracemalloc.start()
+        try:
+            check_srg(DenseGraph(g.adjacency()))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 4 * n * n
+
+    def test_unchecked_set_raises_under_optimization(self):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", UNCHECKED_SETS], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "the connection set holds the identity\n"
+            "the connection set is not inverse-closed at (1,)\n"
+            "the connection set is not inverse-closed at (0, 1)\n"
+        )
+
+    def test_unchecked_set_raises(self):
+        G = AbelianGroup((3, 3))
+        for elements, message in (
+            ({(0, 0), (0, 1), (0, 2)}, "holds the identity"),
+            ({(1, 0), (2, 0), (1, 1)}, r"not inverse-closed at \(1, 1\)"),
+        ):
+            with pytest.raises(SelfCheckError, match=message):
+                build_cayley(ConnectionSet(G, frozenset(elements)))
+
+
+#: ConnectionSets built directly, past validate_connection_set: Z5 with the
+#: identity, Z5 with 1 but not 4, and Z2 x Z5 with (0, 1) but not (0, 4).
+UNCHECKED_SETS = """
+from cayleycert.cayley import ConnectionSet, build_cayley
+from cayleycert.graphs import SelfCheckError
+from cayleycert.groups import AbelianGroup
+
+Z5, Z2xZ5 = AbelianGroup((5,)), AbelianGroup((2, 5))
+for G, elements in (
+    (Z5, {(0,), (1,), (4,)}),
+    (Z5, {(1,), (2,), (3,)}),
+    (Z2xZ5, {(0, 1), (1, 0)}),
+):
+    try:
+        build_cayley(ConnectionSet(G, frozenset(elements)))
+    except SelfCheckError as exc:
+        print(exc)
+"""
+
 
 def marked_corpus() -> list[ConnectionSet]:
     """The families, two lexicographic products, seeded random sets, the
@@ -224,20 +294,45 @@ def marked_corpus() -> list[ConnectionSet]:
     return sets + [complement_connection_set(c) for c in sets]
 
 
+def family_sets() -> list[ConnectionSet]:
+    """Every construction family at orders marked_corpus leaves out, up to
+    davis(7), whose unmarked copies the all-pairs and all-sources kernels
+    check within seconds, with every complement."""
+    p9, p13, p17 = (paley(q).connection_set for q in (9, 13, 17))
+    sets = [paley(q).connection_set for q in (9, 17, 37, 41, 125, 361, 841)]
+    sets += [peisert(q).connection_set for q in (121, 529)] + [davis(7).connection_set]
+    sets += [lex_product(p13, p9), lex_product(p17, p13)]
+    return sets + [complement_connection_set(c) for c in sets]
+
+
+def assert_marked_matches_unmarked(conn: ConnectionSet):
+    """check_srg, intersection_array and sphere_sizes of the marked graph,
+    from vertex 0 alone, equal the all-pairs and all-sources kernels on
+    DenseGraph of the same array, witnesses included; up to n = 625 the
+    integer A^2 is the oracle for a certificate or a refuting count.
+    Returns the two results."""
+    g = build_cayley(conn)
+    plain = DenseGraph(g.adjacency())
+    assert g.vertex_transitive and not plain.vertex_transitive
+    srg, dr = check_srg(g), intersection_array(g)
+    assert srg == check_srg(plain)
+    assert dr == intersection_array(plain)
+    assert sphere_sizes(g) == sphere_sizes(plain)
+    if g.n <= 625 and srg.is_srg:
+        assert check_adjacency_identity(plain, srg.params)
+    elif g.n <= 625 and srg.reason.startswith("common-neighbor count"):
+        first, reference, pair, count = srg.witness
+        A = plain.adjacency().astype(np.int64)
+        square = A @ A
+        assert square[first] == reference and square[pair] == count != reference
+    return srg, dr
+
+
 class TestVertexTransitiveKernels:
     def test_marked_graph_matches_dense_path(self):
-        """check_srg, intersection_array and sphere_sizes from vertex 0 alone
-        equal the all-pairs and all-sources kernels on an unmarked copy,
-        witnesses included."""
         reasons = set()
         for conn in marked_corpus():
-            g = build_cayley(conn)
-            plain = DenseGraph(g.adjacency())
-            assert g.vertex_transitive and not plain.vertex_transitive
-            srg, dr = check_srg(g), intersection_array(g)
-            assert srg == check_srg(plain)
-            assert dr == intersection_array(plain)
-            assert sphere_sizes(g) == sphere_sizes(plain)
+            srg, dr = assert_marked_matches_unmarked(conn)
             reasons |= {srg.reason, dr.reason}
         assert {
             None,
@@ -258,6 +353,19 @@ class TestVertexTransitiveKernels:
             plain = DenseGraph(g.adjacency())
             assert invariant_counts(g) == invariant_counts(plain)
             assert edge_neighborhood_edge_profile(g) == edge_neighborhood_edge_profile(plain)
+
+    def test_families_match_dense_path(self):
+        for conn in family_sets():
+            assert_marked_matches_unmarked(conn)
+
+    @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_random_sets_match_dense_path(self, factors):
+        G = AbelianGroup(factors)
+        rng = random.Random("x".join(map(str, factors)))
+        for _ in range(3):
+            conn = random_inverse_closed(G, rng)
+            assert_marked_matches_unmarked(conn)
+            assert_marked_matches_unmarked(complement_connection_set(conn))
 
 
 class TestComplementSet:
@@ -354,7 +462,7 @@ class TestLexProduct:
                         for d in range(n2):
                             if (a, b) >= (c, d):
                                 continue
-                            if g1.has_edge(a, c) or (a == c and g2.has_edge(b, d)):
+                            if g1.adjacency()[a, c] or (a == c and g2.adjacency()[b, d]):
                                 edges.append((a * n2 + b, c * n2 + d))
             assert prod_graph == DenseGraph.from_edges(g1.n * n2, edges)
 

@@ -8,7 +8,7 @@ import pytest
 
 from cayleycert.cayley import ConnectionSet, validate_connection_set
 from cayleycert.families import davis, paley
-from cayleycert.graphs import MAX_ORDER, BudgetError
+from cayleycert.graphs import MAX_ORDER, ROW_BLOCK, BudgetError
 from cayleycert.groupalgebra import (
     ga_mul,
     verify_mixed_product,
@@ -136,6 +136,22 @@ class TestConvolution:
             got = ga_mul(G, x, y)
             assert got.dtype == np.int64
             assert got.tolist() == want
+
+    @pytest.mark.parametrize("factors", [(13,), (9, 9), (25, 25)])
+    def test_rows_summed_in_blocks_against_pair_count(self, factors):
+        """x with repeats on both sides of each ROW_BLOCK boundary: every row
+        of every block is summed once."""
+        G = AbelianGroup(factors)
+        elements = oracle_elements(G)
+        rng = random.Random(ROW_BLOCK + G.order)
+        y = rng.choices(range(G.order), k=7)
+        for size in (ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3):
+            x = rng.choices(range(G.order), k=size)
+            want = [0] * G.order
+            for i in x:
+                for j in y:
+                    want[G.index_of(oracle_add(G, elements[i], elements[j]))] += 1
+            assert ga_mul(G, x, y).tolist() == want
 
 
 class TestVerifyPds:
