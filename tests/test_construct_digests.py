@@ -1,5 +1,6 @@
 """`construct` outputs pinned by sha256 digests recorded before the field
-layer moved from per-element polynomial arithmetic to one power table.
+layer moved from per-element polynomial arithmetic to one power table (the
+davis and lexprod entries before connection sets became index arrays).
 
 Each entry names a `construct` argument list and the digests of its `.set`
 bytes, its `.g6` bytes and its JSON report with the `files` key (the output
@@ -29,6 +30,11 @@ CASES = (
     [["paley", "--q", str(q)] for q in PALEY_ORDERS]
     + [["peisert", "--q", str(q)] for q in PEISERT_ORDERS]
     + [["peisert", "--q", "49", "--generator", "3,1"]]
+    + [["davis", "--p", str(p)] for p in (3, 5, 7)]
+    + [
+        ["lexprod", "--left", "paley:5", "--right", "paley:5"],
+        ["lexprod", "--left", "paley:9", "--right", "paley:13"],
+    ]
 )
 
 
@@ -40,7 +46,7 @@ def construct_digests(argv: list[str], out: Path) -> dict:
     """Run `construct argv --out out` and digest the three files it writes."""
     code = main(["construct", *argv, "--out", str(out)])
     assert code == 0, argv
-    stem = f"{argv[0]}{argv[2]}"
+    stem = next(out.glob("*.set")).stem
     doc = json.loads((out / f"{stem}.json").read_text())
     del doc["files"]
     return {
