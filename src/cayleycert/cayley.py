@@ -3,11 +3,13 @@
 Vertices are numbered by the group's mixed-radix enumeration; indices i, j
 are adjacent iff g_i - g_j lies in the connection set.  Inverse-closure of
 the set makes the relation symmetric.  The adjacency is the translates of
-the set's indicator (AbelianGroup.translates).
+the set's indicator (AbelianGroup.translates).  A set is its ascending index
+array, as residue tuples only in text and JSON (validate_connection_set).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -28,58 +30,61 @@ class InvalidConnectionSetError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectionSet:
-    """An identity-free, inverse-closed subset of an abelian group."""
+    """An identity-free, inverse-closed subset of an abelian group as the
+    ascending indices of its elements.  Construction checks only that they
+    ascend within [0, |G|), in O(|S|) and also under python -O."""
 
     group: AbelianGroup
-    elements: frozenset[GroupElement]
+    members: tuple[int, ...]
+
+    def __init__(self, group: AbelianGroup, members: Iterable[int]):
+        members = tuple(map(operator.index, members))
+        if not all(a < b for a, b in zip((-1, *members), (*members, group.order))):
+            raise ValueError(f"connection-set indices must ascend within [0, {group.order})")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.members)
 
     def indices(self) -> list[int]:
-        """Sorted vertex indices of the set elements, a fresh list (a tuple
-        would index a numpy array as one multi-axis index)."""
-        return list(self._indices)
+        """A fresh list, which numpy reads as an index array (not a tuple)."""
+        return list(self.members)
 
     @cached_property
-    def _indices(self) -> tuple[int, ...]:
-        """residues @ index_weights, once per set.  An element that is not a
-        reduced residue tuple raises ValueError, as index_of does."""
-        G = self.group
-        try:
-            res = np.array(list(self.elements), dtype=np.int64).reshape(self.size, G.rank)
-        except (ValueError, OverflowError):  # ragged, wrong length or out of int64
-            res = None
-        if res is None or ((res < 0) | (res >= np.array(G.factors))).any():
-            for g in self.elements:
-                G.index_of(g)
-        return tuple(np.sort(res @ G.index_weights).tolist())
+    def elements(self) -> frozenset[GroupElement]:
+        """The residue tuples of the elements, for the text and JSON boundary."""
+        return frozenset(map(tuple, self.group.residue_matrix[self.indices()].tolist()))
 
 
-def validate_connection_set(
-    group: AbelianGroup, elements: Iterable[GroupElement]
-) -> ConnectionSet:
-    """Check identity-freeness and closure under negation; report every violation."""
-    elems = frozenset(tuple(g) for g in elements)
-    conn = ConnectionSet(group, elems)
+def validate_connection_set(group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
+    """The one residue tuple -> index codec: every unreduced element is
+    reported, in sorted order, and the indices pass checked_connection_set."""
+    elems = list(frozenset(tuple(g) for g in elements))
     try:
-        idx = np.array(conn.indices(), dtype=np.intp)
-    except ValueError:
+        res = np.array(elems, dtype=np.int64).reshape(len(elems), group.rank)
+        reduced = bool(((res >= 0) & (res < np.array(group.factors))).all())
+    except (ValueError, OverflowError):  # ragged, wrong length or out of int64
+        reduced = False
+    if not reduced:
         bad = [g for g in sorted(elems) if not group.contains(g)]
-        raise InvalidConnectionSetError(
-            [f"{g} is not a reduced element of {group}" for g in bad]
-        ) from None
-    violations = ["identity element present"] if group.identity in elems else []
+        raise InvalidConnectionSetError([f"{g} is not a reduced element of {group}" for g in bad])
+    return checked_connection_set(group, res @ group.index_weights)
+
+
+def checked_connection_set(group: AbelianGroup, indices) -> ConnectionSet:
+    """The set of distinct element indices given in any order, after checking
+    it for the identity and closure under negation; every violation is reported."""
+    conn = ConnectionSet(group, np.sort(np.asarray(indices, dtype=np.int64)).tolist())
+    idx = conn.indices()
+    violations = ["identity element present"] if idx[:1] == [0] else []
     neg = group.neg_table[idx]  # its build checks the order budget, before any allocation here
     present = np.zeros(group.order, dtype=bool)
     present[idx] = True
-    absent = np.flatnonzero(~present[neg]).tolist()
-    if absent:
-        listed = sorted(elems)  # reduced tuples sort in index order
-        for i in absent:
-            g = listed[i]
-            violations.append(f"{g} present but -{g} = {group.element_of(int(neg[i]))} absent")
+    for i in np.flatnonzero(~present[neg]).tolist():
+        g = group.element_of(idx[i])
+        violations.append(f"{g} present but -{g} = {group.element_of(int(neg[i]))} absent")
     if violations:
         raise InvalidConnectionSetError(violations)
     return conn
@@ -95,8 +100,8 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     written here, 0 at the identity and equal to itself at -g.  So A is 0/1,
     A[i, i] = indicator[0] = 0 and A[j, i] = indicator[g_i - g_j] = A[i, j],
     and DenseGraph's n x n checks are not run again.  A set that holds the
-    identity or is not inverse-closed (one built without
-    validate_connection_set) raises SelfCheckError.
+    identity or is not inverse-closed (one constructed directly) raises
+    SelfCheckError.
     """
     G = conn.group
     n = G.order
@@ -116,11 +121,11 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
     """G minus (S and the identity); the Cayley graph of it is the complement."""
     G = conn.group
-    res = G.residue_matrix  # its build checks the order budget, before any allocation here
+    check_order_budget("group", G.order)
     keep = np.ones(G.order, dtype=bool)
     keep[0] = False  # the identity
     keep[conn.indices()] = False
-    return ConnectionSet(G, frozenset(map(tuple, res[keep].tolist())))
+    return checked_connection_set(G, np.flatnonzero(keep))
 
 
 def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
@@ -130,8 +135,7 @@ def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
     product = AbelianGroup(g1.factors + g2.factors)
     n2 = g2.order
     idx = [a * n2 + g for a in s1.indices() for g in range(n2)] + s2.indices()
-    elems = map(tuple, product.residue_matrix[idx].tolist())
-    return validate_connection_set(product, elems)
+    return checked_connection_set(product, idx)
 
 
 # --- connection-set file format -------------------------------------------------

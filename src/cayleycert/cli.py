@@ -244,7 +244,7 @@ def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
     if not srg.is_srg:
         return {"passed": False, "reason": f"not strongly regular: {srg.reason}"}
     n, k, lam, mu = srg.params.as_tuple()
-    pds = verify_pds(conn.group, conn.elements, lam, mu)
+    pds = verify_pds(conn.group, conn.indices(), lam, mu)
     eq = verify_srg_equation(conn.group, conn, (n, k, lam, mu))
     out = {
         "passed": bool(pds) and bool(eq),
@@ -462,7 +462,7 @@ def _claim_davis3_pds() -> dict:
     srg = check_srg(build_cayley(conn))
     details = {
         "set_size": conn.size,
-        "pds_19_20": bool(verify_pds(rep.group, conn.elements, 19, 20)),
+        "pds_19_20": bool(verify_pds(rep.group, conn.indices(), 19, 20)),
         "srg_equation": bool(verify_srg_equation(rep.group, conn, (81, 40, 19, 20))),
         "mixed_product_t20": bool(verify_mixed_product(rep.group, conn, 20)),
         "schur": bool(verify_schur_partition(rep.group, conn)),
@@ -484,7 +484,7 @@ def _claim_davis3_selfcomp() -> dict:
 
 def _claim_davis5_pds() -> dict:
     rep = davis(5)
-    pds = verify_pds(rep.group, rep.connection_set.elements, 155, 156)
+    pds = verify_pds(rep.group, rep.connection_set.indices(), 155, 156)
     return {
         "passed": rep.connection_set.size == 312 and bool(pds),
         "details": {"set_size": rep.connection_set.size, "pds_155_156": bool(pds)},

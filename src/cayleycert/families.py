@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import ConnectionSet, validate_connection_set
+from .cayley import ConnectionSet, checked_connection_set
 from .fields import (
     FiniteField,
     make_field,
@@ -47,7 +47,7 @@ class ConstructionReport:
             "params": self.params,
             "group": str(self.group),
             "set_size": self.connection_set.size,
-            "elements": [list(g) for g in sorted(self.connection_set.elements)],
+            "elements": self.group.residue_matrix[self.connection_set.indices()].tolist(),
         }
         if self.field_info is not None:
             out["field"] = self.field_info
@@ -90,7 +90,7 @@ def paley(q: int) -> ConstructionReport:
     p, r = pr
     F = make_field(p, r)
     group = F.additive_group()
-    conn = validate_connection_set(group, F.squares())
+    conn = checked_connection_set(group, F.squares() @ group.index_weights)
     _expect_half_size(conn, "paley")
     return ConstructionReport(
         family="paley",
@@ -112,7 +112,7 @@ def peisert(q: int, generator: Optional[tuple[int, ...]] = None) -> Construction
     S = F.peisert_set(generator)  # validates p mod 4, parity of r and the generator
     a = F.primitive if generator is None else generator
     group = F.additive_group()
-    conn = validate_connection_set(group, S)
+    conn = checked_connection_set(group, S @ group.index_weights)
     _expect_half_size(conn, "peisert")
     return ConstructionReport(
         family="peisert",
@@ -159,10 +159,10 @@ def davis(p: int) -> ConstructionReport:
     orders = group.element_orders
     subgroups: dict[GroupElement, np.ndarray] = {}
     for g in c_gens + d_gens:
-        if orders[group.index_of(g)] != n:
-            raise ConstructionError(f"generator {g} does not have order {n}")
         # Indices of 0*g, 1*g, ..., (n-1)*g.
         subgroups[g] = (np.outer(np.arange(n), g) % n) @ group.index_weights
+        if orders[subgroups[g][1]] != n:  # the order of 1*g = g
+            raise ConstructionError(f"generator {g} does not have order {n}")
     seen = {}
     for g, H in subgroups.items():
         key = frozenset(H.tolist())
@@ -193,7 +193,7 @@ def davis(p: int) -> ConstructionReport:
         raise ConstructionError(
             f"|S| = {len(S)}, expected (p^4-1)/2 = {(n * n - 1) // 2}"
         )
-    conn = validate_connection_set(group, map(tuple, group.residue_matrix[sorted(S)].tolist()))
+    conn = checked_connection_set(group, sorted(S))
     notes = {
         "c_generators": [list(g) for g in c_gens],
         "d_generators": [list(g) for g in d_gens],

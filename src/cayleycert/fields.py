@@ -248,12 +248,12 @@ class FiniteField:
         the sets below are connection sets as they stand."""
         return AbelianGroup((self.p,) * self.r)
 
-    def squares(self) -> frozenset[tuple[int, ...]]:
-        """Nonzero squares, the even powers; for odd q there are (q-1)/2."""
-        return frozenset(map(tuple, self.powers[:: gcd(2, self.q - 1)].tolist()))
+    def squares(self) -> np.ndarray:
+        """Nonzero squares: the even powers, as rows; (q-1)/2 for odd q."""
+        return self.powers[:: gcd(2, self.q - 1)]
 
-    def peisert_set(self, generator: Optional[Sequence[int]] = None) -> frozenset[tuple[int, ...]]:
-        """{a^i : i mod 4 in {0, 1}} for a primitive a; needs p = 3 mod 4, r even."""
+    def peisert_set(self, generator: Optional[Sequence[int]] = None) -> np.ndarray:
+        """{a^i : i mod 4 in {0, 1}} as rows, a primitive; needs p = 3 mod 4, r even."""
         if self.p % 4 != 3:
             raise ValueError(
                 f"Peisert set requires p = 3 mod 4, got p = {self.p} = {self.p % 4} mod 4"
@@ -269,7 +269,7 @@ class FiniteField:
             if not _is_primitive(M, self.p, self.q):
                 raise ValueError(f"override generator {a} is not primitive in GF({self.q})")
             rows = _power_table(M, self.p, self.q)
-        return frozenset(map(tuple, rows[np.arange(self.q - 1) % 4 < 2].tolist()))
+        return rows[np.arange(self.q - 1) % 4 < 2]
 
     def __str__(self) -> str:
         return f"GF({self.q})"

@@ -12,13 +12,13 @@ integer count with no transforms and no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cayley import ConnectionSet, complement_connection_set
 from .graphs import ROW_BLOCK, check_order_budget
-from .groups import AbelianGroup, GroupElement
+from .groups import AbelianGroup
 
 
 def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
@@ -71,18 +71,16 @@ def _compare(group: AbelianGroup, actual: np.ndarray, expected: np.ndarray) -> C
     )
 
 
-def verify_pds(
-    group: AbelianGroup, D: Iterable[GroupElement], lam: int, mu: int
-) -> CheckResult:
-    """Is D a (|G|, |D|, lam, mu) partial difference set?
+def verify_pds(group: AbelianGroup, D, lam: int, mu: int) -> CheckResult:
+    """Is the index array D a (|G|, |D|, lam, mu) partial difference set?
 
     Counts representations g = d1 - d2 with d1, d2 in D as the product
     D * D^(-1); the coefficient at each nonidentity g must be lam (g in D)
     or mu (g not in D), and |D| at the identity (index 0).
     """
-    d = np.array([group.index_of(tuple(g)) for g in D], dtype=np.int64)
-    if np.unique(d).size != d.size:
-        raise ValueError("duplicate element in D")
+    d = np.asarray(D, dtype=np.int64)
+    if d.ndim != 1 or ((d < 0) | (d >= group.order)).any() or np.unique(d).size != d.size:
+        raise ValueError(f"D must be distinct element indices in [0, {group.order})")
     actual = ga_mul(group, d, group.neg_table[d])
     expected = np.full(group.order, mu, dtype=np.int64)
     expected[d] = lam

@@ -4,8 +4,9 @@ Vertex numbering everywhere in the toolkit is the mixed-radix enumeration
 order fixed here, and a group's arithmetic is its read-only index tables
 (residues, negation and element orders) and its translation action: the
 view translates(v) of a vector v over G, t[i, j] = v[g_j - g_i], behind both
-Cayley adjacency and subset products.  Residue tuples appear only at the
-text/JSON boundary (contains, index_of, element_of).  Groups are additive:
+Cayley adjacency and subset products.  An element is its index and a subset
+an index array; residue tuples appear only at the text/JSON boundary
+(contains, index_of, element_of, residue_matrix rows).  Groups are additive:
 the difference convention a - b replaces the multiplicative a*b^-1.
 """
 
@@ -209,13 +210,11 @@ def _prime_order_representatives(G: AbelianGroup) -> np.ndarray:
     return res[np.isin(orders, primes) & (lead * orders == factors[first])]
 
 
-def _automorphism_batches(
-    G: AbelianGroup, batch_size: int = AUT_BATCH_SIZE
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _automorphism_batches(G: AbelianGroup) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (image_index_tuples, image_residues) for the automorphisms of G.
 
     Candidates run in mixed-radix order over generator-image index tuples,
-    batch_size at a time; a batch yields its bijective candidates in order,
+    AUT_BATCH_SIZE at a time; a batch yields its bijective candidates in order,
     with image_residues[b, i] the residues of the image of e_i.  A candidate
     is a homomorphism, so it is bijective iff its kernel is trivial, and a
     nontrivial kernel contains a whole subgroup of prime order: the test maps
@@ -233,8 +232,8 @@ def _automorphism_batches(
         )
     res = G.residue_matrix
     reps = _prime_order_representatives(G)
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
+    for start in range(0, total, AUT_BATCH_SIZE):
+        stop = min(start + AUT_BATCH_SIZE, total)
         # Decode flat candidate ids into per-position allowed-image indices.
         digits = np.unravel_index(np.arange(start, stop, dtype=np.int64), [len(a) for a in allowed])
         img_idx = np.stack([a[d] for a, d in zip(allowed, digits)], axis=1)

@@ -127,7 +127,7 @@ def test_criterion_7_property_suites():
             lam = rng.randrange(0, k + 1)
             mu = rng.randrange(0, k + 1)
             assert (
-                verify_pds(G, S, lam, mu).ok
+                verify_pds(G, conn.indices(), lam, mu).ok
                 == verify_srg_equation(G, conn, (G.order, k, lam, mu)).ok
             )
 

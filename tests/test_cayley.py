@@ -18,6 +18,7 @@ from cayleycert.cayley import (
     lex_product,
     validate_connection_set,
 )
+from cayleycert.cli import main
 from cayleycert.families import davis, paley, peisert
 from cayleycert.graphs import (
     DenseGraph,
@@ -32,7 +33,7 @@ from cayleycert.graphs import (
 )
 from cayleycert.groups import AbelianGroup
 
-from test_graphs import check_adjacency_identity
+from test_graphs import check_adjacency_identity, edge_pairs
 from test_groups import ORACLE_GROUPS, oracle_add, oracle_elements, oracle_neg, oracle_translation
 
 
@@ -121,25 +122,40 @@ class TestValidation:
             f"{g} is not a reduced element of Z5" for g in [(-1,), (1, 2), (7,), (10**30,)]
         ]
 
-    def test_direct_set_rejects_unreduced_residues(self):
+    def test_direct_set_rejects_bad_indices(self):
+        # in O(|S|), with no table of the group: out of range, not ascending
         Z5 = AbelianGroup((5,))
-        for elems in [{(5,)}, {(-1,)}, {(1, 0)}, {(1,), (1, 2)}, {(10**30,)}]:
-            conn = ConnectionSet(Z5, frozenset(elems))
-            with pytest.raises(ValueError, match="is not a reduced element of Z5"):
-                conn.indices()
+        for members in [(5,), (-1,), (10**30,), (1, 1), (4, 1), (0, 2, 1)]:
+            with pytest.raises(ValueError, match=r"ascend within \[0, 5\)"):
+                ConnectionSet(Z5, members)
+        for members in [(1, 2.0), ((1,),)]:
+            with pytest.raises(TypeError):
+                ConnectionSet(Z5, members)
+        assert ConnectionSet(Z5, (1, 4)) == ConnectionSet(Z5, [1, 4])
+        assert ConnectionSet(Z5, np.array([1, 4])).members == (1, 4)
 
-    def test_indices_without_index_of(self, monkeypatch):
-        # the set-up path indexes each set once, by residues @ index_weights
+    def test_indices_without_index_of(self, monkeypatch, tmp_path, capsys):
+        # a .set file is indexed once, by residues @ index_weights, and
+        # verified on its indices: no per-element codec and no residue tuples
         sets = [davis(3).connection_set, lex_product(paley(5).connection_set, paley(9).connection_set)]
-        expected = {conn: sorted(conn.group.index_of(g) for g in conn.elements) for conn in sets}
+        texts = [connection_set_to_text(conn) for conn in sets]
+        expected = [sorted(conn.group.index_of(g) for g in conn.elements) for conn in sets]
         calls = []
-        index_of = AbelianGroup.index_of
+        index_of, elements = AbelianGroup.index_of, ConnectionSet.elements
         monkeypatch.setattr(AbelianGroup, "index_of", lambda G, g: calls.append(g) or index_of(G, g))
-        for conn, idx in expected.items():
-            again = validate_connection_set(conn.group, conn.elements)
-            assert again.indices() == idx and again.indices() is not again.indices()
-            build_cayley(again)
-            connection_set_from_text(connection_set_to_text(again))
+        monkeypatch.setattr(
+            ConnectionSet, "elements", property(lambda c: calls.append(c) or elements.func(c))
+        )
+        codes = []
+        for text, idx, path in zip(texts, expected, (tmp_path / "a.set", tmp_path / "b.set")):
+            conn = connection_set_from_text(text)
+            assert conn.indices() == idx and conn.indices() is not conn.indices()
+            build_cayley(conn)
+            assert connection_set_to_text(conn) == text
+            path.write_text(text)
+            codes.append(main(["verify", str(path), "--srg", "--dr", "--pds", "--schur", "--selfcomp"]))
+        capsys.readouterr()
+        assert codes == [0, 1]  # the product is self-complementary but not strongly regular
         assert calls == []
 
     def test_empty_set_is_valid(self):
@@ -152,12 +168,12 @@ class TestBuild:
     def test_c5(self):
         Z5 = AbelianGroup((5,))
         g = build_cayley(validate_connection_set(Z5, [(1,), (4,)]))
-        assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert edge_pairs(g) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_z4_matching(self):
         Z4 = AbelianGroup((4,))
         g = build_cayley(validate_connection_set(Z4, [(2,)]))
-        assert g.edges() == [(0, 2), (1, 3)]
+        assert edge_pairs(g) == [(0, 2), (1, 3)]
         assert not is_connected(g)
 
     def test_regularity_and_identity_neighbors(self):
@@ -167,7 +183,7 @@ class TestBuild:
             conn = random_inverse_closed(G, rng)
             g = build_cayley(conn)
             assert set(g.degrees()) <= {conn.size}
-            neighbors_of_0 = {v for u, v in g.edges() if u == 0}
+            neighbors_of_0 = {v for u, v in edge_pairs(g) if u == 0}
             assert neighbors_of_0 == set(conn.indices()) or conn.size == 0
 
     def test_paley13_is_6_regular(self):
@@ -189,7 +205,7 @@ class TestBuild:
 
     def test_order_budget_checked_before_allocating(self):
         # a ConnectionSet built directly skips validation and its tables
-        conn = ConnectionSet(AbelianGroup((1000000007,)), frozenset({(1,), (1000000006,)}))
+        conn = ConnectionSet(AbelianGroup((1000000007,)), (1, 1000000006))
         with pytest.raises(ValueError, match="group order 1000000007 exceeds the desk-scale budget"):
             build_cayley(conn)
 
@@ -246,29 +262,26 @@ class TestBuild:
 
     def test_unchecked_set_raises(self):
         G = AbelianGroup((3, 3))
-        for elements, message in (
-            ({(0, 0), (0, 1), (0, 2)}, "holds the identity"),
-            ({(1, 0), (2, 0), (1, 1)}, r"not inverse-closed at \(1, 1\)"),
+        for members, message in (
+            ((0, 1, 2), "holds the identity"),  # (0, 0), (0, 1), (0, 2)
+            ((3, 4, 6), r"not inverse-closed at \(1, 1\)"),  # (1, 0), (1, 1), (2, 0)
         ):
             with pytest.raises(SelfCheckError, match=message):
-                build_cayley(ConnectionSet(G, frozenset(elements)))
+                build_cayley(ConnectionSet(G, members))
 
 
-#: ConnectionSets built directly, past validate_connection_set: Z5 with the
-#: identity, Z5 with 1 but not 4, and Z2 x Z5 with (0, 1) but not (0, 4).
+#: ConnectionSets built directly, past checked_connection_set: Z5 with the
+#: identity, Z5 with 1 but not 4, and Z2 x Z5 with (0, 1) but not (0, 4), the
+#: indices 1 and 5 being (0, 1) and (1, 0).
 UNCHECKED_SETS = """
 from cayleycert.cayley import ConnectionSet, build_cayley
 from cayleycert.graphs import SelfCheckError
 from cayleycert.groups import AbelianGroup
 
 Z5, Z2xZ5 = AbelianGroup((5,)), AbelianGroup((2, 5))
-for G, elements in (
-    (Z5, {(0,), (1,), (4,)}),
-    (Z5, {(1,), (2,), (3,)}),
-    (Z2xZ5, {(0, 1), (1, 0)}),
-):
+for G, members in ((Z5, (0, 1, 4)), (Z5, (1, 2, 3)), (Z2xZ5, (1, 5))):
     try:
-        build_cayley(ConnectionSet(G, frozenset(elements)))
+        build_cayley(ConnectionSet(G, members))
     except SelfCheckError as exc:
         print(exc)
 """

@@ -12,6 +12,7 @@ from cayleycert.families import (
 )
 from cayleycert.graphs import check_srg, diameter
 
+from test_graphs import edge_pairs
 from test_groups import oracle_cyclic_subgroup, oracle_neg, oracle_order
 
 
@@ -20,7 +21,7 @@ class TestPaley:
         rep = paley(5)
         g = build_cayley(rep.connection_set)
         assert check_srg(g).params.as_tuple() == (5, 2, 0, 1)
-        assert g.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert edge_pairs(g) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
     def test_paley13_set(self):
         rep = paley(13)

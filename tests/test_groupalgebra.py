@@ -56,7 +56,7 @@ class TestBasics:
     def test_duplicate_rejected(self):
         Z5 = AbelianGroup((5,))
         with pytest.raises(ValueError):
-            verify_pds(Z5, [(1,), (1,)], 0, 0)
+            verify_pds(Z5, [1, 1], 0, 0)
 
 
 class TestConvolution:
@@ -164,15 +164,15 @@ class TestVerifyPds:
         for g in oracle_elements(G):
             if g != G.identity and g not in D:
                 assert counts[g] == 3
-        assert verify_pds(G, D, 2, 3).ok
+        assert verify_pds(G, indices(G, D), 2, 3).ok
 
     def test_davis3(self):
         rep = davis(3)
-        assert verify_pds(rep.group, rep.connection_set.elements, 19, 20).ok
+        assert verify_pds(rep.group, rep.connection_set.indices(), 19, 20).ok
 
     def test_not_pds_with_witness(self):
         Z5 = AbelianGroup((5,))
-        res = verify_pds(Z5, [(1,), (2,)], 1, 1)
+        res = verify_pds(Z5, [1, 2], 1, 1)
         assert not res.ok
         assert res.witness is not None
         assert "element" in res.witness
@@ -180,15 +180,16 @@ class TestVerifyPds:
     def test_wrong_parameters_fail(self):
         G = AbelianGroup((13,))
         D = {(x,) for x in (1, 3, 4, 9, 10, 12)}
-        assert not verify_pds(G, D, 3, 2).ok
+        assert not verify_pds(G, indices(G, D), 3, 2).ok
 
     def test_unreduced_elements_rejected(self):
-        # (-1,) once read as index -1 (element 4) and passed; (7,) hit an IndexError
+        # the element (-1,) was once read as index -1 (element 4) and passed,
+        # and (7,) hit an IndexError: negative and out-of-range indices, and
+        # residue tuples in place of indices, are refused
         Z5 = AbelianGroup((5,))
-        with pytest.raises(ValueError, match="not a reduced element"):
-            verify_pds(Z5, [(-1,), (1,)], 0, 1)
-        with pytest.raises(ValueError, match="not a reduced element"):
-            verify_pds(Z5, [(7,)], 0, 0)
+        for D in ([-1, 1], [4, -1], [5], [7], [(1,), (4,)]):
+            with pytest.raises(ValueError, match=r"element indices in \[0, 5\)"):
+                verify_pds(Z5, D, 0, 1)
 
 
 class TestSrgEquation:
@@ -226,7 +227,7 @@ class TestSrgEquation:
                 k = len(S)
                 for lam in range(0, k + 1, max(1, k // 3)):
                     for mu in range(0, k + 1, max(1, k // 3)):
-                        a = verify_pds(G, S, lam, mu).ok
+                        a = verify_pds(G, conn.indices(), lam, mu).ok
                         b = verify_srg_equation(G, conn, (G.order, k, lam, mu)).ok
                         assert a == b
 
@@ -273,7 +274,7 @@ class TestOrderBudget:
 
     CHECKS = {
         "ga_mul": lambda G, small, half: ga_mul(G, [1], [1]),
-        "verify_pds": lambda G, small, half: verify_pds(G, small.elements, 0, 1),
+        "verify_pds": lambda G, small, half: verify_pds(G, small.indices(), 0, 1),
         "verify_srg_equation": lambda G, small, half: verify_srg_equation(
             G, small, (G.order, small.size, 0, 1)
         ),
@@ -287,8 +288,8 @@ class TestOrderBudget:
         """{1, -1} and {1, -1, ..., t, -t} with |G| = 4t + 1, built directly
         so that no table of G is touched."""
         n = G.order
-        small = ConnectionSet(G, frozenset({(1,), (n - 1,)}))
-        half = ConnectionSet(G, frozenset((r,) for i in range(1, (n - 1) // 4 + 1) for r in (i, n - i)))
+        small = ConnectionSet(G, (1, n - 1))
+        half = ConnectionSet(G, sorted(r for i in range(1, (n - 1) // 4 + 1) for r in (i, n - i)))
         return small, half
 
     @pytest.mark.parametrize("name", list(CHECKS))
@@ -299,8 +300,6 @@ class TestOrderBudget:
         G = AbelianGroup((MAX_ORDER + 1,))
         small, half = self.sets(G)
         assert half.size == (G.order - 1) // 2
-        for conn in (small, half):
-            conn.indices()
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="group order 4097 exceeds"):
@@ -329,12 +328,12 @@ class TestWitnessLiterals:
 
     def test_pds(self):
         Z5 = AbelianGroup((5,))
-        assert verify_pds(Z5, [(1,), (2,)], 1, 1).witness == {
+        assert verify_pds(Z5, [1, 2], 1, 1).witness == {
             "element": [2], "actual": 0, "expected": 1,
         }
         G = AbelianGroup((9, 9))
         S = [(0, 1), (0, 8), (1, 0), (8, 0), (1, 1), (8, 8)]
-        assert verify_pds(G, S, 0, 1).witness == {
+        assert verify_pds(G, indices(G, S), 0, 1).witness == {
             "element": [0, 1], "actual": 2, "expected": 0,
         }
 

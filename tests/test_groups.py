@@ -9,6 +9,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from cayleycert import groups
 from cayleycert.cayley import build_cayley, validate_connection_set
 from cayleycert.families import davis
 from cayleycert.graphs import MAX_ORDER, complement, invariant_counts
@@ -478,11 +479,12 @@ class TestKernelTest:
     the full-permutation filter."""
 
     @pytest.mark.parametrize("factors", KERNEL_TEST_GROUPS, ids=lambda f: "x".join(map(str, f)))
-    def test_same_automorphisms_in_same_order(self, factors):
+    def test_same_automorphisms_in_same_order(self, factors, monkeypatch):
         G = AbelianGroup(factors)
         want = np.concatenate([idx for idx, _ in reference_automorphism_batches(G)])
         for batch_size in (7, 1024):
-            batches = list(_automorphism_batches(G, batch_size))
+            monkeypatch.setattr(groups, "AUT_BATCH_SIZE", batch_size)
+            batches = list(_automorphism_batches(G))
             got = np.concatenate([idx for idx, _ in batches])
             assert np.array_equal(got, want)
             for idx, mats in batches:
