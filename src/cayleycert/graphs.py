@@ -2,8 +2,8 @@
 
 A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
 kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency, or at vertex 0 int32
-sums of its rows), one edges-inside
+products of a block of 0/1 rows with the adjacency, or at vertex 0 of a
+graph marked vertex-transitive int32 sums of its rows), one edges-inside
 product behind the triangle count, the 4-clique count (one per vertex, at
 the second vertex of each 4-clique), the per-edge pass of the edge profile
 and the deep color refinement, the odd-p ranks (lazily reduced elimination
@@ -11,8 +11,8 @@ in int32 or int64, where the parameters of a strongly regular graph do not
 fix the rank) and the graph6 format.  The float32 products are exact because every
 value they form is an integer below 2^24.  Where a kernel
 needs them, the rows are also packed into Python ints, once per graph: the
-GF(2) rank is an XOR basis of those bit rows, and the BFS from every source
-of a graph with a large eccentricity ORs them.
+GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
+distances from vertex 0, and of graphs with a large eccentricity).
 Every result is exact; there is no floating-point spectral computation.
 """
 
@@ -141,7 +141,7 @@ class DenseGraph:
     @property
     def rows(self) -> tuple[int, ...]:
         """Row i packed into a Python int, the neighbour bitmask of vertex i,
-        for the XOR-basis and many-source BFS kernels; packed once per graph."""
+        for the XOR-basis and BFS kernels; packed once per graph."""
         return self._memo(_pack_rows)
 
     def degree(self, u: int) -> int:
@@ -398,9 +398,8 @@ def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
 
 def _base_distances(graph: DenseGraph) -> np.ndarray:
     """The distances from vertex 0, memoised for is_connected and for the
-    choice of distance kernel in _distance_blocks: the layers of
-    _product_distances, summed over the rows of the uint8 adjacency."""
-    return _product_distances(graph.adjacency(), np.arange(1))[0]
+    choice of distance kernel in _distance_blocks."""
+    return _bfs_layers(graph, [0])[0]
 
 
 def is_connected(graph: DenseGraph) -> bool:
@@ -450,7 +449,7 @@ def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
     """Layer i + 1 of each source is (L_i @ A > 0) minus the vertices already
     reached.  Entries of L_i @ A count neighbours, so every entry and partial
     sum is an integer at most n <= MAX_ORDER < 2^24: float32 holds it exactly
-    in any summation order.  On the uint8 adjacency, one source, it is _rows_sum."""
+    in any summation order."""
     dist = np.full((len(sources), A.shape[0]), -1, dtype=np.int32)
     layer = A[sources] > 0  # layer 1 needs no product
     dist[layer] = 1
@@ -458,8 +457,7 @@ def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
     unreached = dist < 0
     depth = 1
     while layer.any() and unreached.any():
-        step = _rows_sum(A, layer[0])[None] if A.dtype == np.uint8 else layer.astype(np.float32) @ A
-        layer = (step > 0) & unreached
+        layer = (layer.astype(np.float32) @ A > 0) & unreached
         depth += 1
         dist[layer] = depth
         unreached &= ~layer

@@ -215,11 +215,6 @@ class TestDiameter:
     def test_connectivity(self):
         assert is_connected(cycle(7))
         assert not is_connected(empty(2))
-        # the distances from vertex 0 are row sums of the uint8 adjacency,
-        # and no bit rows are packed for them
-        for g in (cycle(7), empty(2), path(150), paley_graph(13)):
-            assert is_connected(g) == (g.n != 2) and check_srg(g).is_srg == (g.n == 13)
-            assert graphs._pack_rows not in g._cache
 
 
 class TestCheckSrg:
