@@ -609,14 +609,23 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
 
 
 def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
-    """Distance partition from every base vertex (vertex 0 alone on a graph
-    marked vertex-transitive); b_i, c_i must be constant.
+    """On a graph the memoised check_srg certifies, {k, k - lam - 1; 1, mu}
+    read off its parameters: it is connected and not complete, so its
+    diameter is 2 (see sphere_sizes), and a neighbour of a neighbour x of u
+    is u, one of the lam common neighbours of u and x, or at distance 2.
+    Every other graph takes the distance partition from every base vertex
+    (vertex 0 alone on a graph marked vertex-transitive); b_i, c_i must be
+    constant.
 
     Source 0 fixes the diameter d and, at the first vertex of each of its
     layers, the reference b_i and c_i.  The witness is the first failure in
     source order; within a source the eccentricity is checked first, then
     the vertices by (layer, vertex), b before c.
     """
+    srg = check_srg(graph)
+    if srg.is_srg:
+        _n, k, lam, mu = srg.params.as_tuple()
+        return DistanceRegularResult(IntersectionArray((k, k - lam - 1), (1, mu)))
     witness = _not_regular(graph)
     if witness is not None:
         return DistanceRegularResult(None, "not regular", witness)

@@ -7,6 +7,19 @@ coefficient vector counting, for each w, the pairs (x, y) in X x Y with
 x + y = w: the sum over x in X of the multiplicity of w - x in Y, read off
 the translates of Y's multiplicities (AbelianGroup.translates), an exact
 integer count with no transforms and no floating point.
+
+For a connection set S (identity-free) and N = G minus (S u {e}), every
+product of two of e, S and N is a fixed integer combination of e, S, G and
+S^2 (Ma, "A survey of partial difference sets", Des. Codes Cryptogr. 4
+(1994)), since X*G = |X| G for every subset X and e + S + N = G:
+
+    S*e = e*S = S
+    S*N = N*S = |S| G - S - S^2
+    N*N = (|G| - 2 - 2|S|) G + e + 2S + S^2
+
+So the SRG-equation, mixed-product and Schur-closure checks all read one
+S^2, computed once per ConnectionSet (square); verify_pds counts its own
+D * D^(-1).
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cayley import ConnectionSet, complement_connection_set
-from .graphs import ROW_BLOCK, check_order_budget
+from .graphs import ROW_BLOCK, SelfCheckError, check_order_budget
 from .groups import AbelianGroup
 
 
@@ -88,6 +101,26 @@ def verify_pds(group: AbelianGroup, D, lam: int, mu: int) -> CheckResult:
     return _compare(group, actual, expected)
 
 
+def square(conn: ConnectionSet) -> np.ndarray:
+    """S*S, read-only, computed once per ConnectionSet instance and kept in
+    its __dict__, as cached_property keeps a value."""
+    if "square" not in conn.__dict__:
+        conn.__dict__["square"] = ga_mul(conn.group, conn.members, conn.members)
+        conn.__dict__["square"].setflags(write=False)
+    return conn.__dict__["square"]
+
+
+def _square_and_complement(conn: ConnectionSet) -> tuple[np.ndarray, list[int]]:
+    """S^2 and the indices of N, for a set the product identities hold for.
+    One that holds the identity (a set constructed directly) raises
+    SelfCheckError, as build_cayley does, also under python -O; one that is
+    not inverse-closed raises InvalidConnectionSetError from its complement."""
+    if conn.members[:1] == (0,):
+        raise SelfCheckError("the connection set holds the identity")
+    complement = complement_connection_set(conn).indices()  # checks the order budget first
+    return square(conn), complement
+
+
 def verify_srg_equation(
     group: AbelianGroup, conn: ConnectionSet, params: tuple[int, int, int, int]
 ) -> CheckResult:
@@ -97,10 +130,9 @@ def verify_srg_equation(
         raise ValueError(
             f"params {params} disagree with |G|={group.order}, |S|={conn.size}"
         )
-    s = conn.indices()
-    actual = ga_mul(group, s, s)
+    actual = square(conn)  # its budget check comes before any vector of order n
     expected = np.full(n, mu, dtype=np.int64)
-    expected[s] = lam
+    expected[conn.indices()] = lam
     expected[0] += k - mu
     return _compare(group, actual, expected)
 
@@ -108,13 +140,16 @@ def verify_srg_equation(
 def verify_mixed_product(
     group: AbelianGroup, conn: ConnectionSet, t: int
 ) -> CheckResult:
-    """Exact check of S * (G minus (S u {e})) = t * (G minus {e}) in Z[G]."""
+    """Exact check of S * (G minus (S u {e})) = t * (G minus {e}) in Z[G],
+    the left side read off S^2 as |S| G - S - S^2."""
     if group.order != 4 * t + 1 or conn.size != 2 * t:
         raise ValueError(
             f"mixed product needs |G| = 4t+1 and |S| = 2t; "
             f"got |G|={group.order}, |S|={conn.size}, t={t}"
         )
-    actual = ga_mul(group, conn.indices(), complement_connection_set(conn).indices())
+    sq, _ = _square_and_complement(conn)
+    actual = conn.size - sq
+    actual[conn.indices()] -= 1
     expected = np.full(group.order, t, dtype=np.int64)
     expected[0] = 0
     return _compare(group, actual, expected)
@@ -124,26 +159,26 @@ def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckRes
     """Closure of span{e, S, N} under multiplication, N = G minus (S u {e}).
 
     The three parts are disjoint and cover G, so a product lies in their
-    integer span iff it is constant on each part; the first non-constant
-    product is returned as the witness.
+    integer span iff it is constant on each part.  Each product is an integer
+    combination of e, S, G and S^2, so the span is closed iff S^2 is constant
+    on each part.  The products before S*S in the order e*e, e*S, e*N, S*e,
+    S*S, ... are e and S, so a non-constant S^2 is the first failure, and the
+    witness names it and its first non-constant part (never e, one element).
     """
-    parts = {"e": [0], "S": conn.indices(), "N": complement_connection_set(conn).indices()}
-    parts = {name: np.array(idx, dtype=np.int64) for name, idx in parts.items() if idx}
-    for name_x, x in parts.items():
-        for name_y, y in parts.items():
-            prod = ga_mul(group, x, y)
-            for part_name, idx in parts.items():
-                vals = prod[idx]
-                if not (vals == vals[0]).all():
-                    where = idx[np.nonzero(vals != vals[0])[0][0]]
-                    return CheckResult(
-                        ok=False,
-                        witness={
-                            "product": f"{name_x}*{name_y}",
-                            "part": part_name,
-                            "first_value": int(vals[0]),
-                            "other_value": int(prod[where]),
-                            "at_element": list(group.element_of(int(where))),
-                        },
-                    )
+    sq, complement = _square_and_complement(conn)
+    for part, idx in (("S", conn.indices()), ("N", complement)):
+        vals = sq[idx]
+        bad = np.flatnonzero(vals != vals[:1])
+        if bad.size:
+            where = idx[bad[0]]
+            return CheckResult(
+                ok=False,
+                witness={
+                    "product": "S*S",
+                    "part": part,
+                    "first_value": int(vals[0]),
+                    "other_value": int(sq[where]),
+                    "at_element": list(group.element_of(where)),
+                },
+            )
     return CheckResult(ok=True)

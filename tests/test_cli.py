@@ -244,6 +244,17 @@ class TestVerify:
         assert code == 0
         assert out == (DATA / "verify_davis3_all_checks.json").read_text()
 
+    @pytest.mark.parametrize("name", ["random_Z13xZ13", "witness_Z9xZ9"])
+    def test_failing_structure_checks_golden(self, capsys, monkeypatch, name):
+        """verify --srg --dr --pds --schur of two sets that fail every check,
+        recorded while the Schur closure multiplied all nine pairs of parts:
+        a seeded random set over Z13xZ13 and the six-element Z9xZ9 set of the
+        witness literals."""
+        monkeypatch.chdir(DATA)
+        code, out, _ = run_cli(capsys, "verify", f"{name}.set", "--srg", "--dr", "--pds", "--schur")
+        assert code == 1
+        assert out == (DATA / f"verify_{name}_structure.json").read_text()
+
     def test_davis5_invariants_golden(self, capsys, monkeypatch, tmp_path):
         """verify --srg --invariants on davis(5) as graph6, recorded while every
         mod-p rank was eliminated: the ranks read off its parameters match."""

@@ -857,6 +857,31 @@ class TestBlockKernels:
             assert graphs._sphere_sizes(g) == reference_sphere_sizes(g)
         assert passes == []
 
+    def test_srg_intersection_array_against_the_layer_path(self, monkeypatch):
+        """On the family graphs and their complements, as built, relabelled
+        with the mark and unmarked, the array read off the SRG parameters
+        equals the distance-layer path's, and no distance pass runs for it."""
+        p5, p9, p13 = (paley(q).connection_set for q in (5, 9, 13))
+        sets = [paley(q).connection_set for q in (5, 9, 13, 25, 49, 81, 169)]
+        sets += [peisert(q).connection_set for q in (9, 49, 121)] + [davis(3).connection_set]
+        sets += [lex_product(p5, p5), lex_product(p5, p9), lex_product(p9, p13), lex_product(p13, p9)]
+        rng = np.random.default_rng(53)
+        corpus = []
+        for conn in sets:
+            for g in (build_cayley(conn), complement(build_cayley(conn))):
+                marked = g.relabel(rng.permutation(g.n))
+                corpus += [g, marked, DenseGraph(marked.adjacency())]
+        is_srg = [check_srg(g).is_srg for g in corpus]
+        assert sum(is_srg) == 6 * 11  # all but the lexicographic products
+        passes = []
+        blocks = graphs._distance_blocks
+        monkeypatch.setattr(graphs, "_distance_blocks", lambda *a: passes.append(a[0]) or blocks(*a))
+        got = [intersection_array(g) for g in corpus]
+        assert not any(g is h for g in passes for h, srg in zip(corpus, is_srg) if srg)
+        monkeypatch.setattr(graphs, "check_srg", lambda g: SrgResult(None, "forced", None))
+        assert got == [intersection_array(g) for g in corpus]
+        assert all(dr.is_distance_regular for dr, srg in zip(got, is_srg) if srg)
+
     @pytest.mark.parametrize("limit", [-1, 10**9], ids=["bfs", "products"])
     def test_against_loops_across_block_edges(self, monkeypatch, limit):
         monkeypatch.setattr(graphs, "ROW_BLOCK", 3)
@@ -923,10 +948,11 @@ class TestVertexTransitiveMark:
         for x in (c7, plain_c7):
             assert sphere_sizes(x) == ((1, 2, 2, 2),) * 7
             assert intersection_array(x).array == IntersectionArray((2, 1, 1), (1, 1, 1))
-        # sphere_sizes of a certified SRG runs no pass; otherwise one source-0
-        # pass per marked graph and kernel, all sources on an unmarked graph
-        assert [stop for _graph, stop in passes] == [1, 1, 13, 1, 1, 7, 7]
-        graphs_passed = (g, h, plain, c7, c7, plain_c7, plain_c7)
+        # sphere_sizes and intersection_array of a certified SRG run no pass;
+        # otherwise one source-0 pass per marked graph and kernel, all
+        # sources on an unmarked graph
+        assert [stop for _graph, stop in passes] == [1, 1, 7, 7]
+        graphs_passed = (c7, c7, plain_c7, plain_c7)
         assert all(y is x for (y, _stop), x in zip(passes, graphs_passed))
         for x in (g, c7):
             sizes = sphere_sizes(x)

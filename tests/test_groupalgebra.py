@@ -2,15 +2,25 @@
 
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cayleycert.cayley import ConnectionSet, validate_connection_set
+from cayleycert import cli, groupalgebra
+from cayleycert.cayley import (
+    ConnectionSet,
+    InvalidConnectionSetError,
+    checked_connection_set,
+    complement_connection_set,
+    validate_connection_set,
+)
 from cayleycert.families import davis, paley
-from cayleycert.graphs import MAX_ORDER, ROW_BLOCK, BudgetError
+from cayleycert.graphs import MAX_ORDER, ROW_BLOCK, BudgetError, SelfCheckError
 from cayleycert.groupalgebra import (
+    CheckResult,
     ga_mul,
+    square,
     verify_mixed_product,
     verify_pds,
     verify_schur_partition,
@@ -268,6 +278,130 @@ class TestSchurPartition:
         assert res.witness["product"]
 
 
+def oracle_products(G: AbelianGroup, conn: ConnectionSet) -> dict:
+    """X*Y by ga_mul for every ordered pair of the parts e, S and N."""
+    parts = {"e": [0], "S": conn.indices(), "N": complement_connection_set(conn).indices()}
+    return {f"{a}*{b}": ga_mul(G, x, y) for a, x in parts.items() for b, y in parts.items()}
+
+
+def oracle_schur_partition(G: AbelianGroup, conn: ConnectionSet) -> CheckResult:
+    """The 9-product loop verify_schur_partition replaced: the products of
+    the non-empty parts in order, the first non-constant one the witness."""
+    parts = {"e": [0], "S": conn.indices(), "N": complement_connection_set(conn).indices()}
+    parts = {name: np.array(idx, dtype=np.int64) for name, idx in parts.items() if idx}
+    for name_x, x in parts.items():
+        for name_y, y in parts.items():
+            prod = ga_mul(G, x, y)
+            for part_name, idx in parts.items():
+                vals = prod[idx]
+                if not (vals == vals[0]).all():
+                    where = idx[np.nonzero(vals != vals[0])[0][0]]
+                    return CheckResult(
+                        ok=False,
+                        witness={
+                            "product": f"{name_x}*{name_y}",
+                            "part": part_name,
+                            "first_value": int(vals[0]),
+                            "other_value": int(prod[where]),
+                            "at_element": list(G.element_of(int(where))),
+                        },
+                    )
+    return CheckResult(ok=True)
+
+
+def oracle_mixed_product(G: AbelianGroup, conn: ConnectionSet, t: int) -> CheckResult:
+    """S*N by ga_mul against t * (G minus {e}), as verify_mixed_product was."""
+    expected = np.full(G.order, t, dtype=np.int64)
+    expected[0] = 0
+    actual = ga_mul(G, conn.indices(), complement_connection_set(conn).indices())
+    return groupalgebra._compare(G, actual, expected)
+
+
+def oracle_sets(G: AbelianGroup, rng: random.Random) -> list:
+    """Seeded random inverse-closed sets (of size (|G|-1)/2 too when
+    |G| = 1 mod 4, for the mixed product), the empty set and G minus e."""
+    pairs = sorted({tuple(sorted((i, int(G.neg_table[i])))) for i in range(1, G.order)})
+    sets = [[i for pair in pairs if rng.random() < 0.5 for i in set(pair)] for _ in range(6)]
+    if G.order % 4 == 1:
+        sets += [[i for pair in rng.sample(pairs, len(pairs) // 2) for i in pair] for _ in range(6)]
+    sets += [[], range(1, G.order)]
+    return [checked_connection_set(G, s) for s in sets]
+
+
+class TestDerivedProducts:
+    """S^2 once per set, every other product and both closure checks read off
+    it, against the ga_mul products they replaced."""
+
+    @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=lambda f: "x".join(map(str, f)))
+    def test_against_the_product_loop(self, factors):
+        G = AbelianGroup(factors)
+        sets = oracle_sets(G, random.Random(G.order))
+        conference = {(5,): (paley, 5), (13,): (paley, 13), (9, 9): (davis, 3), (25, 25): (davis, 5)}
+        if factors in conference:
+            family, q = conference[factors]
+            sets.append(family(q).connection_set)
+        outcomes = set()
+        for conn in sets:
+            n, k = G.order, conn.size
+            sq = square(conn)
+            e, S = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            e[0], S[conn.indices()] = 1, 1
+            N = 1 - e - S
+            SN = k - S - sq
+            derived = {"e*e": e, "e*S": S, "e*N": N, "S*e": S, "S*S": sq, "S*N": SN,
+                       "N*e": N, "N*S": SN, "N*N": (n - 2 - 2 * k) + e + 2 * S + sq}
+            oracle = oracle_products(G, conn)
+            assert {p: v.tolist() for p, v in derived.items()} == {p: v.tolist() for p, v in oracle.items()}
+            got, want = verify_schur_partition(G, conn), oracle_schur_partition(G, conn)
+            assert (got.ok, got.witness) == (want.ok, want.witness)
+            outcomes.add(got.ok)
+            if n % 4 == 1 and k == (n - 1) // 2:
+                got, want = verify_mixed_product(G, conn, k // 2), oracle_mixed_product(G, conn, k // 2)
+                assert (got.ok, got.witness) == (want.ok, want.witness)
+                outcomes.add(("mixed", got.ok))
+        assert True in outcomes
+        if G.order > 8:  # passing and failing sets alike
+            assert False in outcomes
+            assert G.order % 4 != 1 or ("mixed", False) in outcomes
+        if factors in conference:
+            assert ("mixed", True) in outcomes
+
+    def test_square_is_memoised_on_the_instance(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(groupalgebra, "ga_mul", lambda *a: calls.append(a) or ga_mul(*a))
+        conn = davis(3).connection_set
+        G = conn.group
+        assert verify_srg_equation(G, conn, (81, 40, 19, 20))
+        assert verify_mixed_product(G, conn, 20) and verify_schur_partition(G, conn)
+        assert square(conn) is square(conn) and not square(conn).flags.writeable
+        assert len(calls) == 1
+        fresh = ConnectionSet(G, conn.members)  # an equal set keeps no memo of its own
+        assert verify_schur_partition(G, fresh) and len(calls) == 2
+
+    def test_two_products_per_verify_of_a_set_file(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(groupalgebra, "ga_mul", lambda *a: calls.append(a) or ga_mul(*a))
+        monkeypatch.chdir(Path(__file__).parent / "data")
+        assert cli.main(["verify", "davis3.set", "--srg", "--dr", "--pds", "--schur"]) == 0
+        assert len(calls) == 2  # D * D^(-1) for the PDS count, and S^2
+
+    def test_sets_holding_the_identity_raise(self):
+        """The identities need e outside S: a directly built set holding it
+        raises, as build_cayley does, before the inverse-closure check."""
+        Z13 = AbelianGroup((13,))
+        with pytest.raises(SelfCheckError, match="holds the identity"):
+            verify_schur_partition(Z13, ConnectionSet(Z13, (0, 1, 12)))
+        with pytest.raises(SelfCheckError, match="holds the identity"):
+            verify_mixed_product(Z13, ConnectionSet(Z13, (0, 1, 2, 3, 11, 12)), 3)
+
+    def test_sets_not_inverse_closed_raise(self):
+        Z13 = AbelianGroup((13,))
+        with pytest.raises(InvalidConnectionSetError):
+            verify_schur_partition(Z13, ConnectionSet(Z13, (1, 2)))
+        with pytest.raises(InvalidConnectionSetError):
+            verify_mixed_product(Z13, ConnectionSet(Z13, (1, 2, 3, 4, 5, 6)), 3)
+
+
 class TestOrderBudget:
     """Past MAX_ORDER each check raises BudgetError before it allocates a
     vector of the group's order (Z1000000007 would ask for 8 GB)."""
@@ -281,6 +415,7 @@ class TestOrderBudget:
         "verify_mixed_product": lambda G, small, half: verify_mixed_product(
             G, half, (G.order - 1) // 4
         ),
+        "verify_schur_partition": lambda G, small, half: verify_schur_partition(G, small),
     }
 
     @staticmethod
