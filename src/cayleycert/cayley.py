@@ -148,16 +148,19 @@ def connection_set_to_text(conn: ConnectionSet) -> str:
     return "\n".join([f"group {G}"] + [",".join(map(str, g)) for g in rows]) + "\n"
 
 
+def parse_element(text: str, where: str) -> GroupElement:
+    """The residue tuple written "3,4"; a field that is not an integer raises
+    ValueError naming {where} and the text."""
+    try:
+        return tuple(map(int, text.split(",")))
+    except ValueError:
+        raise ValueError(f"{where}: bad element tuple {text!r}") from None
+
+
 def connection_set_from_text(text: str) -> ConnectionSet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].lower().startswith("group "):
         raise ValueError("connection-set file must start with a 'group <spec>' header")
     group = parse_group_spec(lines[0][6:])
-    elems = []
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            tup = tuple(int(x) for x in line.split(","))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad element tuple {line!r}") from exc
-        elems.append(tup)
+    elems = [parse_element(line, f"line {i}") for i, line in enumerate(lines[1:], 2)]
     return validate_connection_set(group, elems)

@@ -194,15 +194,12 @@ def _load_input(path: str, fmt: Optional[str]) -> tuple[DenseGraph, Optional[Con
 def _inline_connection_set(group_spec: str, set_text: str) -> tuple[DenseGraph, ConnectionSet]:
     """Inline sets for small groups: --group Z13 --set "1;3;4;9;10;12"
     (elements separated by ';', residues within an element by ',')."""
-    from .cayley import validate_connection_set
+    from .cayley import parse_element, validate_connection_set
     from .groups import parse_group_spec
 
     group = parse_group_spec(group_spec)
-    elems = []
-    for chunk in set_text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            elems.append(tuple(int(x) for x in chunk.split(",")))
+    chunks = [c.strip() for c in set_text.split(";") if c.strip()]
+    elems = [parse_element(c, f"element {i}") for i, c in enumerate(chunks, 1)]
     conn = validate_connection_set(group, elems)
     return build_cayley(conn), conn
 

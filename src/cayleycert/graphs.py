@@ -12,7 +12,10 @@ fix the rank) and the graph6 format.  The float32 products are exact because eve
 value they form is an integer below 2^24.  Where a kernel
 needs them, the rows are also packed into Python ints, once per graph: the
 GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
-distances from vertex 0, and of graphs with a large eccentricity).
+distances from vertex 0, and of graphs with a large eccentricity).  On a
+graph marked vertex-transitive whose row 0 of A + A^2 has no zero (every
+connected strongly regular one), the distances from vertex 0 are read off
+that row instead, with no BFS and no packed rows.
 Every result is exact; there is no floating-point spectral computation.
 """
 
@@ -398,11 +401,29 @@ def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
 
 def _base_distances(graph: DenseGraph) -> np.ndarray:
     """The distances from vertex 0, memoised for is_connected and for the
-    choice of distance kernel in _distance_blocks."""
+    choice of distance kernel in _distance_blocks.  On a graph marked
+    vertex-transitive whose row 0 of A + A^2 has no zero, every vertex is
+    within distance 2 of vertex 0: 1 on N(0) and 2 off it, read off that row,
+    which _check_srg reads anyway.  Every other graph takes the bit-row BFS."""
+    if graph.vertex_transitive:
+        near = graph.adjacency()[0]
+        if (graph._memo(_square_row0) + near).all():
+            dist = 2 - near.astype(np.int32)
+            dist[0] = 0
+            return dist
     return _bfs_layers(graph, [0])[0]
 
 
+def _square_row0(graph: DenseGraph) -> np.ndarray:
+    """Row 0 of A^2, the int32 _rows_sum of the rows N(0): entry x counts the
+    common neighbours of 0 and x.  Memoised on a graph marked
+    vertex-transitive for _base_distances and _check_srg."""
+    A = graph.adjacency()
+    return _rows_sum(A, A[0])
+
+
 def is_connected(graph: DenseGraph) -> bool:
+    """Is every vertex reached from vertex 0 (see _base_distances)?"""
     return bool((graph._memo(_base_distances) >= 0).all())
 
 
@@ -424,7 +445,7 @@ def _distance_blocks(graph: DenseGraph, stop: int, A: Optional[np.ndarray] = Non
     Source 0 alone needs no copy, and A is not read.
 
     Source 0 alone (stop = 1, as on a graph marked vertex-transitive) is the
-    memoised BFS row of vertex 0.  Otherwise layer products
+    memoised _base_distances row.  Otherwise layer products
     cost about 2n flops per source, vertex and layer, so they are used only
     while n times the eccentricity of vertex 0 is at most LAYER_PRODUCT_LIMIT;
     past it (long cycles and paths, say) each source gets a bit-row BFS,
@@ -561,7 +582,7 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     non-edge in row-major order, and the witness is the first pair that
     differs in that order.  The float32 product is exact for the reason given
     in _product_distances.  A graph marked vertex-transitive checks row 0
-    alone, the int32 _rows_sum of the rows N(0) of the uint8 adjacency.
+    alone, the int32 row 0 of A^2 that _base_distances memoises first.
     """
     n = graph.n
     witness = _not_regular(graph)
@@ -583,7 +604,7 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     # (start, C): C[i, j] = |N(start + i) & N(start + j)| for the columns from
     # start on, which alone meet the upper triangle; the diagonal is C[i, i]
     if graph.vertex_transitive:
-        blocks = [(0, _rows_sum(A, A[0])[None])]
+        blocks = [(0, graph._memo(_square_row0)[None])]
     else:
         A32 = A.astype(np.float32)
         blocks = ((s, A32[s : s + ROW_BLOCK] @ A32[:, s:]) for s in range(0, n, ROW_BLOCK))

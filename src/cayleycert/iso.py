@@ -53,6 +53,7 @@ from .graphs import (
     sphere_sizes,
     triangle_count,
 )
+from . import groups
 from .groups import AutEnumerationError, GroupAutomorphism, _automorphism_batches
 
 FINGERPRINT_PRIMES = (2, 3, 5, 7)
@@ -260,9 +261,12 @@ def selfcomp_by_group_automorphism(
     Returns (certificate, automorphisms scanned).  No certificate is NOT a
     proof of non-self-complementarity; callers must treat it as inconclusive.
     Every sigma is bijective and |S| = |N|, so sigma(S) = N iff sigma maps
-    each s in S into N: the scan maps S one element at a time over the
-    automorphisms of a batch that have passed so far, and expands only the
+    each s in S into N: the scan maps S in chunks of 1, 2, 4, ... elements
+    over the automorphisms of a batch that have passed so far, one product
+    of at most 64 x AUT_BATCH_SIZE images per chunk, and expands only the
     first that passes all of S to a permutation, which is checked in full.
+    The survivors do not depend on the chunks, so neither do the hit and
+    the count scanned; a batch takes about log2 |S| products, not |S|.
     """
     G = conn.group
     s_idx = np.array(conn.indices(), dtype=np.int64)
@@ -275,12 +279,16 @@ def selfcomp_by_group_automorphism(
     in_n[n_idx] = True
     probes = G.residue_matrix[s_idx]
     factors = np.array(G.factors, dtype=np.int64)
+    cap = 64 * groups.AUT_BATCH_SIZE
     for img_idx, mats in _automorphism_batches(G):
         alive = np.arange(len(img_idx))
-        for s in probes:
-            if not alive.size:
-                break
-            alive = alive[in_n[(s @ mats[alive] % factors) @ G.index_weights]]
+        start, width = 0, 1
+        while alive.size and start < len(probes):
+            stop = start + min(width, cap // alive.size)  # alive <= AUT_BATCH_SIZE: >= 64
+            # images[b, c]: the index of the image of probe start + c under alive[b]
+            images = (probes[start:stop] @ mats[alive] % factors) @ G.index_weights
+            alive = alive[in_n[images].all(axis=1)]
+            start, width = stop, 2 * width
         if alive.size:
             hit = int(alive[0])
             scanned += hit + 1

@@ -307,6 +307,24 @@ def marked_corpus() -> list[ConnectionSet]:
     return sets + [complement_connection_set(c) for c in sets]
 
 
+NON_EDGES = "common-neighbor count not constant on non-edges"
+#: Marked graphs whose row 0 of A + A^2 misses a vertex, so that the
+#: distances from vertex 0 take the bit-row BFS:
+#: (group, elements, connected, srg reason, intersection array or dr reason)
+BFS_FALLBACK_SETS = [
+    ((4,), [(2,)], False, "disconnected", "disconnected"),
+    ((2, 2, 2), [(0, 0, 1)], False, "disconnected", "disconnected"),
+    ((3, 9), [(0, 3), (0, 6)], False, "disconnected", "disconnected"),
+    # cycles of diameter 3 and 4: not SRG on non-edges, but distance-regular
+    ((7,), [(1,), (6,)], True, NON_EDGES, ((2, 1, 1), (1, 1, 1))),
+    ((9,), [(1,), (8,)], True, NON_EDGES, ((2, 1, 1, 1), (1, 1, 1, 1))),
+]
+
+
+def fallback_sets() -> list[ConnectionSet]:
+    return [validate_connection_set(AbelianGroup(f), e) for f, e, *_ in BFS_FALLBACK_SETS]
+
+
 def family_sets() -> list[ConnectionSet]:
     """Every construction family at orders marked_corpus leaves out, up to
     davis(7), whose unmarked copies the all-pairs and all-sources kernels
@@ -319,14 +337,16 @@ def family_sets() -> list[ConnectionSet]:
 
 
 def assert_marked_matches_unmarked(conn: ConnectionSet):
-    """check_srg, intersection_array and sphere_sizes of the marked graph,
-    from vertex 0 alone, equal the all-pairs and all-sources kernels on
-    DenseGraph of the same array, witnesses included; up to n = 625 the
+    """is_connected, check_srg, intersection_array and sphere_sizes of the
+    marked graph, from vertex 0 alone, equal the all-pairs and all-sources
+    kernels on DenseGraph of the same array, witnesses included: row 0 of
+    A + A^2 or the BFS fallback against the BFS; up to n = 625 the
     integer A^2 is the oracle for a certificate or a refuting count.
     Returns the two results."""
     g = build_cayley(conn)
     plain = DenseGraph(g.adjacency())
     assert g.vertex_transitive and not plain.vertex_transitive
+    assert is_connected(g) == is_connected(plain)
     srg, dr = check_srg(g), intersection_array(g)
     assert srg == check_srg(plain)
     assert dr == intersection_array(plain)
@@ -344,7 +364,7 @@ def assert_marked_matches_unmarked(conn: ConnectionSet):
 class TestVertexTransitiveKernels:
     def test_marked_graph_matches_dense_path(self):
         reasons = set()
-        for conn in marked_corpus():
+        for conn in marked_corpus() + fallback_sets():
             srg, dr = assert_marked_matches_unmarked(conn)
             reasons |= {srg.reason, dr.reason}
         assert {
@@ -407,6 +427,38 @@ class TestComplementSet:
 
 
 class TestConnectivity:
+    def test_fallback_reports(self):
+        for conn, (_f, _e, connected, srg_reason, dr) in zip(fallback_sets(), BFS_FALLBACK_SETS):
+            g = build_cayley(conn)
+            assert is_connected(g) is connected
+            assert check_srg(g).reason == srg_reason
+            got = intersection_array(g)
+            if connected:
+                assert (got.array.bs, got.array.cs) == dr
+            else:
+                assert got.reason == dr
+
+    def test_vertex_zero_bfs_only_on_fallback(self, monkeypatch):
+        """No BFS on the marked family graphs, whose rows 0 of A + A^2 have no
+        zero; one from vertex 0 on each fallback graph, shared by every check."""
+        from cayleycert import graphs
+
+        sources = []
+        bfs = graphs._bfs_layers
+        monkeypatch.setattr(graphs, "_bfs_layers", lambda g, s: sources.append(list(s)) or bfs(g, s))
+
+        def run_checks(conn):
+            g = build_cayley(conn)
+            is_connected(g), check_srg(g), intersection_array(g), sphere_sizes(g)
+
+        for conn in family_sets():
+            run_checks(conn)
+        assert sources == []
+        for conn in fallback_sets():
+            run_checks(conn)
+            assert sources == [[0]]
+            sources.clear()
+
     def test_examples(self):
         Z4 = AbelianGroup((4,))
         assert not is_connected(build_cayley(validate_connection_set(Z4, [(2,)])))

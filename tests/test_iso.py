@@ -294,11 +294,12 @@ class TestFingerprint:
         for x in (g, h, plain, c7):
             fingerprint(x)
             assert graphs.diameter(x) == (3 if x is c7 else 2)
-        # the BFS from vertex 0 once per graph (memoised for check_srg's
-        # connectivity test and the distance kernel's choice); no distance
+        # the BFS from vertex 0 once per unmarked graph (memoised for
+        # check_srg's connectivity test and the distance kernel's choice) and
+        # none on the marked SRGs, connected by row 0 of A + A^2; no distance
         # pass on the certified SRGs, marked or not, whose sphere sizes come
         # from their parameters, and one from every source on the unmarked C7
-        assert sources == [[0]] * 4
+        assert sources == [[0]] * 2
         assert [stop for _graph, stop in passes] == [7]
         assert passes[0][0] is c7
 
@@ -565,6 +566,9 @@ SCAN_INPUTS = {
     "davis3": lambda: davis(3).connection_set,
     "P9[P13]": lambda: lex_product(paley(9).connection_set, paley(13).connection_set),
     "P13[P9]": lambda: lex_product(paley(13).connection_set, paley(9).connection_set),
+    # |S| = 84, past the 63 probes of the chunks 1, 2, ..., 32
+    "P13[P13]": lambda: lex_product(paley(13).connection_set, paley(13).connection_set),
+    "paley169": lambda: paley(169).connection_set,
 }
 
 
@@ -592,6 +596,15 @@ class TestScanAgainstReference:
         for conn in [base] + [moved(base, rng) for _ in range(3)]:
             self.assert_same(conn)
 
+    @pytest.mark.parametrize("name", ["P13[P13]", "paley169"])
+    def test_batch_and_chunk_edges(self, monkeypatch, name):
+        """Seven candidates per batch: hits land on batch and chunk edges."""
+        monkeypatch.setattr(groups, "AUT_BATCH_SIZE", 7)
+        rng = random.Random(name)
+        base = SCAN_INPUTS[name]()
+        for conn in [base] + [moved(base, rng) for _ in range(3)]:
+            self.assert_same(conn)
+
     @pytest.mark.parametrize(
         "factors",
         [(13,), (29,), (5, 5), (7, 7), (3, 15), (9, 9)],
@@ -608,6 +621,66 @@ class TestScanAgainstReference:
         )
         assert proc.returncode == 0, proc.stderr
         assert "does not carry S onto its complement" in proc.stdout
+
+
+class _CountedImages(np.ndarray):
+    """Image residues of one automorphism batch: each matmul with them, or
+    with a gather of them, appends its image count to the list in log."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _CountedImages) else x for x in inputs]
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            _CountedImages.log[-1].append(out.size // out.shape[-1])
+        return out
+
+
+class TestChunkedScan:
+    @staticmethod
+    def counted_scan(monkeypatch, conn, batches=None):
+        """The scan, with the image count of each of its products, per batch."""
+        log = []
+        monkeypatch.setattr(_CountedImages, "log", log)
+
+        def counted(G):
+            for img_idx, mats in (batches or groups._automorphism_batches)(G):
+                log.append([])
+                yield img_idx, mats.view(_CountedImages)
+
+        monkeypatch.setattr(iso, "_automorphism_batches", counted)
+        return selfcomp_by_group_automorphism(conn), log
+
+    @pytest.mark.parametrize("name", ["P13[P13]", "paley169", "paley49", "davis3"])
+    def test_products_per_batch(self, monkeypatch, name):
+        """At most ceil(log2(|S| + 1)) products per batch, one per chunk
+        1, 2, 4, ..., where mapping S one element at a time takes |S| in the
+        batch of the hit."""
+        conn = SCAN_INPUTS[name]()
+        (cert, scanned), log = self.counted_scan(monkeypatch, conn)
+        assert cert is not None and scanned == reference_scan(conn)[2]
+        bound = conn.size.bit_length()  # ceil(log2(|S| + 1))
+        assert max(map(len, log)) <= bound < conn.size
+        cap = 64 * groups.AUT_BATCH_SIZE
+        assert max(max(batch) for batch in log) <= cap
+
+    def test_images_capped(self, monkeypatch):
+        """A full batch of copies of the complementing automorphism of
+        paley(509), |S| = 254, survives every chunk: after the 127 probes of
+        the chunks 1, ..., 64 the next chunk is cut from 128 to 64 probes by
+        the cap of 64 x AUT_BATCH_SIZE images."""
+        conn = paley(509).connection_set
+        (cert, _), _ = self.counted_scan(monkeypatch, conn)
+        images = np.array(cert.automorphism.generator_images)  # residues = indices in Z509
+        B = groups.AUT_BATCH_SIZE
+
+        def copies(G):
+            yield np.repeat(images, B, axis=0), np.repeat(images[None], B, axis=0)
+
+        (cert, scanned), log = self.counted_scan(monkeypatch, conn, copies)
+        assert scanned == 1 and cert.automorphism.generator_images == tuple(map(tuple, images))
+        assert log == [[B * c for c in (1, 2, 4, 8, 16, 32, 64, 64, 63)]]
 
 
 WRONG_SURVIVOR = """
