@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import DenseGraph, SelfCheckError, check_order_budget
+from .graphs import DenseGraph, check_order_budget
 from .groups import AbelianGroup, GroupElement, parse_group_spec
 
 
@@ -31,16 +31,33 @@ class InvalidConnectionSetError(ValueError):
 @dataclass(frozen=True)
 class ConnectionSet:
     """An identity-free, inverse-closed subset of an abelian group as the
-    ascending indices of its elements.  Construction checks only that they
-    ascend within [0, |G|), in O(|S|) and also under python -O."""
+    ascending indices of its elements, valid by construction.
+
+    The constructor is the one check of a connection set, also under
+    python -O: the group's order budget first, before any table of its
+    order; then distinct integer indices within [0, |G|), given in any order
+    (a non-integer raises TypeError, a repeat or an out-of-range index
+    ValueError); then one InvalidConnectionSetError listing the identity and
+    each element whose negative is absent."""
 
     group: AbelianGroup
     members: tuple[int, ...]
 
     def __init__(self, group: AbelianGroup, members: Iterable[int]):
-        members = tuple(map(operator.index, members))
+        check_order_budget("group", group.order)
+        members = tuple(sorted(map(operator.index, members)))
         if not all(a < b for a, b in zip((-1, *members), (*members, group.order))):
-            raise ValueError(f"connection-set indices must ascend within [0, {group.order})")
+            raise ValueError(f"connection-set indices must be distinct within [0, {group.order})")
+        idx = list(members)
+        violations = ["identity element present"] if idx[:1] == [0] else []
+        neg = group.neg_table[idx]
+        present = np.zeros(group.order, dtype=bool)
+        present[idx] = True
+        for i in np.flatnonzero(~present[neg]).tolist():
+            g = group.element_of(idx[i])
+            violations.append(f"{g} present but -{g} = {group.element_of(int(neg[i]))} absent")
+        if violations:
+            raise InvalidConnectionSetError(violations)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "members", members)
 
@@ -60,7 +77,7 @@ class ConnectionSet:
 
 def validate_connection_set(group: AbelianGroup, elements: Iterable[GroupElement]) -> ConnectionSet:
     """The one residue tuple -> index codec: every unreduced element is
-    reported, in sorted order, and the indices pass checked_connection_set."""
+    reported, in sorted order, before the indices reach ConnectionSet."""
     elems = list(frozenset(tuple(g) for g in elements))
     try:
         res = np.array(elems, dtype=np.int64).reshape(len(elems), group.rank)
@@ -70,24 +87,7 @@ def validate_connection_set(group: AbelianGroup, elements: Iterable[GroupElement
     if not reduced:
         bad = [g for g in sorted(elems) if not group.contains(g)]
         raise InvalidConnectionSetError([f"{g} is not a reduced element of {group}" for g in bad])
-    return checked_connection_set(group, res @ group.index_weights)
-
-
-def checked_connection_set(group: AbelianGroup, indices) -> ConnectionSet:
-    """The set of distinct element indices given in any order, after checking
-    it for the identity and closure under negation; every violation is reported."""
-    conn = ConnectionSet(group, np.sort(np.asarray(indices, dtype=np.int64)).tolist())
-    idx = conn.indices()
-    violations = ["identity element present"] if idx[:1] == [0] else []
-    neg = group.neg_table[idx]  # its build checks the order budget, before any allocation here
-    present = np.zeros(group.order, dtype=bool)
-    present[idx] = True
-    for i in np.flatnonzero(~present[neg]).tolist():
-        g = group.element_of(idx[i])
-        violations.append(f"{g} present but -{g} = {group.element_of(int(neg[i]))} absent")
-    if violations:
-        raise InvalidConnectionSetError(violations)
-    return conn
+    return ConnectionSet(group, res @ group.index_weights)
 
 
 def build_cayley(conn: ConnectionSet) -> DenseGraph:
@@ -96,36 +96,25 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
 
     A[i, j] is the indicator of S at g_j - g_i: the translates of that
     indicator, G.translates, copied once into a C-contiguous n x n array.
-    The indicator is checked in O(n), also under python -O: it is 0/1 as
-    written here, 0 at the identity and equal to itself at -g.  So A is 0/1,
+    The indicator is 0/1 as written here, and the ConnectionSet type proves
+    it 0 at the identity and equal to itself at -g.  So A is 0/1,
     A[i, i] = indicator[0] = 0 and A[j, i] = indicator[g_i - g_j] = A[i, j],
-    and DenseGraph's n x n checks are not run again.  A set that holds the
-    identity or is not inverse-closed (one constructed directly) raises
-    SelfCheckError.
+    and DenseGraph's n x n checks are not run again.
     """
     G = conn.group
     n = G.order
-    check_order_budget("group", n)
     indicator = np.zeros(n, dtype=np.uint8)
     indicator[conn.indices()] = 1
-    if indicator[0]:
-        raise SelfCheckError("the connection set holds the identity")
-    unpaired = np.flatnonzero(indicator != indicator[G.neg_table])
-    if unpaired.size:
-        g = G.element_of(int(unpaired[0]))
-        raise SelfCheckError(f"the connection set is not inverse-closed at {g}")
     A = np.ascontiguousarray(G.translates(indicator).reshape(n, n))
     return DenseGraph._proven(A, vertex_transitive=True)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:
     """G minus (S and the identity); the Cayley graph of it is the complement."""
-    G = conn.group
-    check_order_budget("group", G.order)
-    keep = np.ones(G.order, dtype=bool)
+    keep = np.ones(conn.group.order, dtype=bool)
     keep[0] = False  # the identity
     keep[conn.indices()] = False
-    return checked_connection_set(G, np.flatnonzero(keep))
+    return ConnectionSet(conn.group, np.flatnonzero(keep))
 
 
 def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
@@ -135,7 +124,7 @@ def lex_product(s1: ConnectionSet, s2: ConnectionSet) -> ConnectionSet:
     product = AbelianGroup(g1.factors + g2.factors)
     n2 = g2.order
     idx = [a * n2 + g for a in s1.indices() for g in range(n2)] + s2.indices()
-    return checked_connection_set(product, idx)
+    return ConnectionSet(product, idx)
 
 
 # --- connection-set file format -------------------------------------------------
@@ -158,9 +147,9 @@ def parse_element(text: str, where: str) -> GroupElement:
 
 
 def connection_set_from_text(text: str) -> ConnectionSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("group "):
+    """The .set format; a parse error names its line, blank lines counted."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].lower().startswith("group "):
         raise ValueError("connection-set file must start with a 'group <spec>' header")
-    group = parse_group_spec(lines[0][6:])
-    elems = [parse_element(line, f"line {i}") for i, line in enumerate(lines[1:], 2)]
-    return validate_connection_set(group, elems)
+    group = parse_group_spec(lines[0][1][6:])
+    return validate_connection_set(group, [parse_element(ln, f"line {i}") for i, ln in lines[1:]])

@@ -52,6 +52,7 @@ from .groupalgebra import (
     verify_srg_equation,
 )
 from .iso import (
+    DEFAULT_NODE_BUDGET,
     Fingerprint,
     fingerprint,
     is_self_complementary,
@@ -198,8 +199,8 @@ def _inline_connection_set(group_spec: str, set_text: str) -> tuple[DenseGraph, 
     from .groups import parse_group_spec
 
     group = parse_group_spec(group_spec)
-    chunks = [c.strip() for c in set_text.split(";") if c.strip()]
-    elems = [parse_element(c, f"element {i}") for i, c in enumerate(chunks, 1)]
+    chunks = [(i, c.strip()) for i, c in enumerate(set_text.split(";"), 1) if c.strip()]
+    elems = [parse_element(c, f"element {i}") for i, c in chunks]
     conn = validate_connection_set(group, elems)
     return build_cayley(conn), conn
 
@@ -242,7 +243,7 @@ def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
         return {"passed": False, "reason": f"not strongly regular: {srg.reason}"}
     n, k, lam, mu = srg.params.as_tuple()
     pds = verify_pds(conn.group, conn.indices(), lam, mu)
-    eq = verify_srg_equation(conn.group, conn, (n, k, lam, mu))
+    eq = verify_srg_equation(conn, (n, k, lam, mu))
     out = {
         "passed": bool(pds) and bool(eq),
         "lambda": lam,
@@ -257,14 +258,14 @@ def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
 
 
 def _check_schur(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
-    schur = verify_schur_partition(conn.group, conn)
+    schur = verify_schur_partition(conn)
     out = {"passed": bool(schur), "schur_closure": bool(schur)}
     if schur.witness:
         out["witness"] = schur.witness
     srg = check_srg(graph)
     if srg.is_srg and srg.params.conference_t is not None:
         t = srg.params.conference_t
-        mixed = verify_mixed_product(conn.group, conn, t)
+        mixed = verify_mixed_product(conn, t)
         out["mixed_product_t"] = t
         out["mixed_product"] = bool(mixed)
         out["passed"] = out["passed"] and bool(mixed)
@@ -460,9 +461,9 @@ def _claim_davis3_pds() -> dict:
     details = {
         "set_size": conn.size,
         "pds_19_20": bool(verify_pds(rep.group, conn.indices(), 19, 20)),
-        "srg_equation": bool(verify_srg_equation(rep.group, conn, (81, 40, 19, 20))),
-        "mixed_product_t20": bool(verify_mixed_product(rep.group, conn, 20)),
-        "schur": bool(verify_schur_partition(rep.group, conn)),
+        "srg_equation": bool(verify_srg_equation(conn, (81, 40, 19, 20))),
+        "mixed_product_t20": bool(verify_mixed_product(conn, 20)),
+        "schur": bool(verify_schur_partition(conn)),
         "srg": _srg_list(srg),
     }
     checks = ("pds_19_20", "srg_equation", "mixed_product_t20", "schur")
@@ -640,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--set", help="inline connection set, e.g. '1;3;4;9;10;12'")
     for check in CHECKS:
         v.add_argument(f"--{check.name}", action="store_true", help=check.help)
-    v.add_argument("--node-budget", type=int, default=10**8)
+    v.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     v.add_argument("--time-budget", type=float, default=None)
     v.add_argument("--timings", action="store_true", help="include timings in the JSON")
     v.set_defaults(func=cmd_verify)

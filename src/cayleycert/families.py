@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cayley import ConnectionSet, checked_connection_set
+from .cayley import ConnectionSet
 from .fields import (
     FiniteField,
     make_field,
@@ -90,7 +90,7 @@ def paley(q: int) -> ConstructionReport:
     p, r = pr
     F = make_field(p, r)
     group = F.additive_group()
-    conn = checked_connection_set(group, F.squares() @ group.index_weights)
+    conn = ConnectionSet(group, F.squares() @ group.index_weights)
     _expect_half_size(conn, "paley")
     return ConstructionReport(
         family="paley",
@@ -112,7 +112,7 @@ def peisert(q: int, generator: Optional[tuple[int, ...]] = None) -> Construction
     S = F.peisert_set(generator)  # validates p mod 4, parity of r and the generator
     a = F.primitive if generator is None else generator
     group = F.additive_group()
-    conn = checked_connection_set(group, S @ group.index_weights)
+    conn = ConnectionSet(group, S @ group.index_weights)
     _expect_half_size(conn, "peisert")
     return ConstructionReport(
         family="peisert",
@@ -193,7 +193,7 @@ def davis(p: int) -> ConstructionReport:
         raise ConstructionError(
             f"|S| = {len(S)}, expected (p^4-1)/2 = {(n * n - 1) // 2}"
         )
-    conn = checked_connection_set(group, sorted(S))
+    conn = ConnectionSet(group, S)
     notes = {
         "c_generators": [list(g) for g in c_gens],
         "d_generators": [list(g) for g in d_gens],

@@ -59,10 +59,10 @@ class DenseGraph:
 
     What is checked where: DenseGraph(A) checks every entry of A (0 or 1),
     its diagonal (no loop) and its symmetry, in n x n passes, and keeps a copy
-    of it.  build_cayley checks the indicator of its connection set in O(n)
-    instead, which proves its translates 0/1, loop-free and symmetric, and
-    keeps them unchecked and uncopied; relabel and complement, which derive
-    from a checked graph, keep their arrays the same way.
+    of it.  build_cayley reads the translates of its connection set's
+    indicator instead, which the ConnectionSet type proves 0/1, loop-free and
+    symmetric, and keeps them unchecked and uncopied; relabel and complement,
+    which derive from a checked graph, keep their arrays the same way.
 
     vertex_transitive=True is a fact the caller guarantees, not one checked
     here: Aut(G) moves vertex 0 to every vertex.  The graph is then regular,

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .cayley import ConnectionSet, complement_connection_set
-from .graphs import ROW_BLOCK, SelfCheckError, check_order_budget
+from .graphs import ROW_BLOCK, check_order_budget
 from .groups import AbelianGroup
 
 
@@ -110,52 +110,38 @@ def square(conn: ConnectionSet) -> np.ndarray:
     return conn.__dict__["square"]
 
 
-def _square_and_complement(conn: ConnectionSet) -> tuple[np.ndarray, list[int]]:
-    """S^2 and the indices of N, for a set the product identities hold for.
-    One that holds the identity (a set constructed directly) raises
-    SelfCheckError, as build_cayley does, also under python -O; one that is
-    not inverse-closed raises InvalidConnectionSetError from its complement."""
-    if conn.members[:1] == (0,):
-        raise SelfCheckError("the connection set holds the identity")
-    complement = complement_connection_set(conn).indices()  # checks the order budget first
-    return square(conn), complement
-
-
-def verify_srg_equation(
-    group: AbelianGroup, conn: ConnectionSet, params: tuple[int, int, int, int]
-) -> CheckResult:
+def verify_srg_equation(conn: ConnectionSet, params: tuple[int, int, int, int]) -> CheckResult:
     """Exact check of S^2 = mu*G + (lam-mu)*S + (k-mu)*e in Z[G]."""
+    group = conn.group
     n, k, lam, mu = params
     if n != group.order or k != conn.size:
         raise ValueError(
             f"params {params} disagree with |G|={group.order}, |S|={conn.size}"
         )
-    actual = square(conn)  # its budget check comes before any vector of order n
+    actual = square(conn)
     expected = np.full(n, mu, dtype=np.int64)
     expected[conn.indices()] = lam
     expected[0] += k - mu
     return _compare(group, actual, expected)
 
 
-def verify_mixed_product(
-    group: AbelianGroup, conn: ConnectionSet, t: int
-) -> CheckResult:
+def verify_mixed_product(conn: ConnectionSet, t: int) -> CheckResult:
     """Exact check of S * (G minus (S u {e})) = t * (G minus {e}) in Z[G],
     the left side read off S^2 as |S| G - S - S^2."""
+    group = conn.group
     if group.order != 4 * t + 1 or conn.size != 2 * t:
         raise ValueError(
             f"mixed product needs |G| = 4t+1 and |S| = 2t; "
             f"got |G|={group.order}, |S|={conn.size}, t={t}"
         )
-    sq, _ = _square_and_complement(conn)
-    actual = conn.size - sq
+    actual = conn.size - square(conn)
     actual[conn.indices()] -= 1
     expected = np.full(group.order, t, dtype=np.int64)
     expected[0] = 0
     return _compare(group, actual, expected)
 
 
-def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckResult:
+def verify_schur_partition(conn: ConnectionSet) -> CheckResult:
     """Closure of span{e, S, N} under multiplication, N = G minus (S u {e}).
 
     The three parts are disjoint and cover G, so a product lies in their
@@ -165,8 +151,8 @@ def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckRes
     S*S, ... are e and S, so a non-constant S^2 is the first failure, and the
     witness names it and its first non-constant part (never e, one element).
     """
-    sq, complement = _square_and_complement(conn)
-    for part, idx in (("S", conn.indices()), ("N", complement)):
+    sq = square(conn)
+    for part, idx in (("S", conn.indices()), ("N", complement_connection_set(conn).indices())):
         vals = sq[idx]
         bad = np.flatnonzero(vals != vals[:1])
         if bad.size:
@@ -178,7 +164,7 @@ def verify_schur_partition(group: AbelianGroup, conn: ConnectionSet) -> CheckRes
                     "part": part,
                     "first_value": int(vals[0]),
                     "other_value": int(sq[where]),
-                    "at_element": list(group.element_of(where)),
+                    "at_element": list(conn.group.element_of(where)),
                 },
             )
     return CheckResult(ok=True)

@@ -78,9 +78,9 @@ def test_criterion_5_group_algebra_identities():
         k = conn.size
         assert k == 2 * t
         # Equation (1): S^2 = mu G + (lam - mu) S + (k - mu) e, conference form
-        assert verify_srg_equation(G, conn, (n, k, t - 1, t)).ok
+        assert verify_srg_equation(conn, (n, k, t - 1, t)).ok
         # Equation (2): S * N = t (G - e)
-        assert verify_mixed_product(G, conn, t).ok
+        assert verify_mixed_product(conn, t).ok
         # complement identity: N^2 = t G - N + t e
         rest = complement_connection_set(conn).indices()
         rhs = np.full(n, t, dtype=np.int64)
@@ -128,7 +128,7 @@ def test_criterion_7_property_suites():
             mu = rng.randrange(0, k + 1)
             assert (
                 verify_pds(G, conn.indices(), lam, mu).ok
-                == verify_srg_equation(G, conn, (G.order, k, lam, mu)).ok
+                == verify_srg_equation(conn, (G.order, k, lam, mu)).ok
             )
 
     # are_isomorphic == brute-force oracle on a seeded corpus with n <= 12

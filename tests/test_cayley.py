@@ -21,8 +21,8 @@ from cayleycert.cayley import (
 from cayleycert.cli import main
 from cayleycert.families import davis, paley, peisert
 from cayleycert.graphs import (
+    BudgetError,
     DenseGraph,
-    SelfCheckError,
     check_srg,
     complement,
     edge_neighborhood_edge_profile,
@@ -123,16 +123,40 @@ class TestValidation:
         ]
 
     def test_direct_set_rejects_bad_indices(self):
-        # in O(|S|), with no table of the group: out of range, not ascending
+        # distinct integers in any order, kept ascending
         Z5 = AbelianGroup((5,))
-        for members in [(5,), (-1,), (10**30,), (1, 1), (4, 1), (0, 2, 1)]:
-            with pytest.raises(ValueError, match=r"ascend within \[0, 5\)"):
+        for members in [(5,), (-1,), (10**30,), (1, 1), (4, 1, 4)]:
+            with pytest.raises(ValueError, match=r"distinct within \[0, 5\)"):
                 ConnectionSet(Z5, members)
         for members in [(1, 2.0), ((1,),)]:
             with pytest.raises(TypeError):
                 ConnectionSet(Z5, members)
-        assert ConnectionSet(Z5, (1, 4)) == ConnectionSet(Z5, [1, 4])
-        assert ConnectionSet(Z5, np.array([1, 4])).members == (1, 4)
+        assert ConnectionSet(Z5, (1, 4)) == ConnectionSet(Z5, [4, 1])
+        assert ConnectionSet(Z5, np.array([4, 1])).members == (1, 4)
+
+    def test_each_maker_returns_the_constructed_set(self):
+        """Every maker's set is ConnectionSet(G, the same indices): the
+        families, lex_product, complement_connection_set and
+        validate_connection_set, with plain int members."""
+        p5, p9 = paley(5).connection_set, paley(9).connection_set
+        made = {
+            "paley13": paley(13).connection_set,
+            "peisert9": peisert(9).connection_set,
+            "davis3": davis(3).connection_set,
+            "lex": lex_product(p5, p9),
+            "complement": complement_connection_set(validate_connection_set(AbelianGroup((8,)), [(2,), (6,)])),
+            "validate": validate_connection_set(AbelianGroup((3, 3)), [(0, 1), (0, 2), (1, 1), (2, 2)]),
+        }
+        G8, G33, G59 = AbelianGroup((8,)), AbelianGroup((3, 3)), AbelianGroup((5, 3, 3))
+        want = {
+            "lex": ConnectionSet(G59, [a * 9 + g for a in (1, 4) for g in range(9)] + list(p9.members)[::-1]),
+            "complement": ConnectionSet(G8, [7, 5, 4, 3, 1]),
+            "validate": ConnectionSet(G33, [G33.index_of(g) for g in [(2, 2), (1, 1), (0, 2), (0, 1)]]),
+        }
+        for name, conn in made.items():
+            assert type(conn) is ConnectionSet
+            assert all(type(i) is int for i in conn.members), name
+            assert conn == ConnectionSet(conn.group, conn.members[::-1]) == want.get(name, conn), name
 
     def test_indices_without_index_of(self, monkeypatch, tmp_path, capsys):
         # a .set file is indexed once, by residues @ index_weights, and
@@ -204,10 +228,17 @@ class TestBuild:
 
 
     def test_order_budget_checked_before_allocating(self):
-        # a ConnectionSet built directly skips validation and its tables
-        conn = ConnectionSet(AbelianGroup((1000000007,)), (1, 1000000006))
-        with pytest.raises(ValueError, match="group order 1000000007 exceeds the desk-scale budget"):
-            build_cayley(conn)
+        # at the constructor, the first check of a set, before any table of G
+        for n in (4097, 1000000007):
+            G = AbelianGroup((n,))
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetError, match=f"group order {n} exceeds the desk-scale budget"):
+                    ConnectionSet(G, (1, n - 1))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n
 
     def test_cyclic_build_peaks_under_4n2_bytes(self):
         # the n x n uint8 result, and no (j - i) mod n index table beside it
@@ -251,38 +282,42 @@ class TestBuild:
 
     def test_unchecked_set_raises_under_optimization(self):
         proc = subprocess.run(
-            [sys.executable, "-O", "-c", UNCHECKED_SETS], capture_output=True, text=True
+            [sys.executable, "-O", "-c", INVALID_SETS], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (
-            "the connection set holds the identity\n"
-            "the connection set is not inverse-closed at (1,)\n"
-            "the connection set is not inverse-closed at (0, 1)\n"
+            "identity element present\n"
+            "(1,) present but -(1,) = (4,) absent\n"
+            "(0, 1) present but -(0, 1) = (0, 4) absent\n"
+            "identity element present; (1,) present but -(1,) = (4,) absent; "
+            "(2,) present but -(2,) = (3,) absent\n"
+            "connection-set indices must be distinct within [0, 5)\n"
         )
 
     def test_unchecked_set_raises(self):
+        # a set built directly is checked as a made one is: it raises when built
         G = AbelianGroup((3, 3))
-        for members, message in (
-            ((0, 1, 2), "holds the identity"),  # (0, 0), (0, 1), (0, 2)
-            ((3, 4, 6), r"not inverse-closed at \(1, 1\)"),  # (1, 0), (1, 1), (2, 0)
+        for members, violations in (
+            ((0, 1, 2), ["identity element present"]),  # (0, 0), (0, 1), (0, 2)
+            ((3, 4, 6), ["(1, 1) present but -(1, 1) = (2, 2) absent"]),  # (1, 0), (1, 1), (2, 0)
         ):
-            with pytest.raises(SelfCheckError, match=message):
-                build_cayley(ConnectionSet(G, members))
+            with pytest.raises(InvalidConnectionSetError) as exc:
+                ConnectionSet(G, members)
+            assert exc.value.violations == violations
 
 
-#: ConnectionSets built directly, past checked_connection_set: Z5 with the
-#: identity, Z5 with 1 but not 4, and Z2 x Z5 with (0, 1) but not (0, 4), the
-#: indices 1 and 5 being (0, 1) and (1, 0).
-UNCHECKED_SETS = """
-from cayleycert.cayley import ConnectionSet, build_cayley
-from cayleycert.graphs import SelfCheckError
+#: ConnectionSets built directly: Z5 with the identity, Z5 with 1 but not 4,
+#: Z2 x Z5 with (0, 1) but not (0, 4) (the indices 1 and 5 being (0, 1) and
+#: (1, 0)), Z5 with three violations, and Z5 with a repeated index.
+INVALID_SETS = """
+from cayleycert.cayley import ConnectionSet
 from cayleycert.groups import AbelianGroup
 
 Z5, Z2xZ5 = AbelianGroup((5,)), AbelianGroup((2, 5))
-for G, members in ((Z5, (0, 1, 4)), (Z5, (1, 2, 3)), (Z2xZ5, (1, 5))):
+for G, members in ((Z5, (0, 1, 4)), (Z5, (1, 2, 3)), (Z2xZ5, (1, 5)), (Z5, (2, 1, 0)), (Z5, (1, 4, 1))):
     try:
-        build_cayley(ConnectionSet(G, members))
-    except SelfCheckError as exc:
+        ConnectionSet(G, members)
+    except ValueError as exc:
         print(exc)
 """
 

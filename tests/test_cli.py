@@ -327,12 +327,16 @@ class TestVerify:
              "cannot read input: [Errno 2] No such file or directory: '/nonexistent.g6'"),
             (["{tmp}/big.g6"], "graph order 5000 exceeds the desk-scale budget 4096"),
             (["{tmp}/big.txt"], "graph order 5001 exceeds the desk-scale budget 4096"),
-            # one element parser: the inline set names the element, the file the line
+            # one element parser: the inline set names the element, the file the
+            # line, each counted with the blank ones
             (["--group", "Z13", "--set", "1;a"],
              "cannot read input: element 2: bad element tuple 'a'"),
             (["--group", "Z3xZ3", "--set", ";0,1;;0,x"],
-             "cannot read input: element 2: bad element tuple '0,x'"),
+             "cannot read input: element 4: bad element tuple '0,x'"),
             (["{tmp}/bad.set"], "cannot read input: line 4: bad element tuple 'x'"),
+            (["{tmp}/blank.set"], "cannot read input: line 5: bad element tuple 'x'"),
+            (["--group", "Z13", "--set", "1;;x"],
+             "cannot read input: element 3: bad element tuple 'x'"),
         ],
     )
     def test_input_error_messages(self, capsys, tmp_path, argv, err):
@@ -341,6 +345,7 @@ class TestVerify:
         (tmp_path / "big.g6").write_text("~@MG\n")  # the graph6 header of n = 5000
         (tmp_path / "big.txt").write_text("0 5000\n")
         (tmp_path / "bad.set").write_text("group Z13\n1\n12\nx\n")
+        (tmp_path / "blank.set").write_text("group Z13\n\n1\n\nx\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert run_cli(capsys, "verify", *argv, "--srg") == (2, "", f"error: {err}\n")
 

@@ -11,12 +11,11 @@ from cayleycert import cli, groupalgebra
 from cayleycert.cayley import (
     ConnectionSet,
     InvalidConnectionSetError,
-    checked_connection_set,
     complement_connection_set,
     validate_connection_set,
 )
 from cayleycert.families import davis, paley
-from cayleycert.graphs import MAX_ORDER, ROW_BLOCK, BudgetError, SelfCheckError
+from cayleycert.graphs import MAX_ORDER, ROW_BLOCK, BudgetError
 from cayleycert.groupalgebra import (
     CheckResult,
     ga_mul,
@@ -209,20 +208,20 @@ class TestSrgEquation:
         s = rep.connection_set.indices()
         # S^2 = G - S + e with coefficients (2, 0, 1, 1, 0)
         assert ga_mul(G, s, s).tolist() == [2, 0, 1, 1, 0]
-        assert verify_srg_equation(G, rep.connection_set, (5, 2, 0, 1)).ok
+        assert verify_srg_equation(rep.connection_set, (5, 2, 0, 1)).ok
 
     def test_davis3(self):
         rep = davis(3)
-        assert verify_srg_equation(rep.group, rep.connection_set, (81, 40, 19, 20)).ok
+        assert verify_srg_equation(rep.connection_set, (81, 40, 19, 20)).ok
 
     def test_swapped_parameters_fail(self):
         rep = paley(13)
-        assert not verify_srg_equation(rep.group, rep.connection_set, (13, 6, 3, 2)).ok
+        assert not verify_srg_equation(rep.connection_set, (13, 6, 3, 2)).ok
 
     def test_param_shape_guard(self):
         rep = paley(13)
         with pytest.raises(ValueError):
-            verify_srg_equation(rep.group, rep.connection_set, (14, 6, 2, 3))
+            verify_srg_equation(rep.connection_set, (14, 6, 2, 3))
 
     def test_agreement_with_pds_on_random_sets(self):
         # 100 seeded random inverse-closed sets per group
@@ -238,42 +237,42 @@ class TestSrgEquation:
                 for lam in range(0, k + 1, max(1, k // 3)):
                     for mu in range(0, k + 1, max(1, k // 3)):
                         a = verify_pds(G, conn.indices(), lam, mu).ok
-                        b = verify_srg_equation(G, conn, (G.order, k, lam, mu)).ok
+                        b = verify_srg_equation(conn, (G.order, k, lam, mu)).ok
                         assert a == b
 
 
 class TestMixedProduct:
     def test_paley5(self):
         rep = paley(5)
-        assert verify_mixed_product(rep.group, rep.connection_set, 1).ok
+        assert verify_mixed_product(rep.connection_set, 1).ok
 
     def test_paley13(self):
         rep = paley(13)
-        assert verify_mixed_product(rep.group, rep.connection_set, 3).ok
+        assert verify_mixed_product(rep.connection_set, 3).ok
 
     def test_davis3(self):
         rep = davis(3)
-        assert verify_mixed_product(rep.group, rep.connection_set, 20).ok
+        assert verify_mixed_product(rep.connection_set, 20).ok
 
     def test_size_guard(self):
         rep = paley(13)
         with pytest.raises(ValueError):
-            verify_mixed_product(rep.group, rep.connection_set, 4)
+            verify_mixed_product(rep.connection_set, 4)
 
 
 class TestSchurPartition:
     def test_paley13(self):
         rep = paley(13)
-        assert verify_schur_partition(rep.group, rep.connection_set).ok
+        assert verify_schur_partition(rep.connection_set).ok
 
     def test_davis3(self):
         rep = davis(3)
-        assert verify_schur_partition(rep.group, rep.connection_set).ok
+        assert verify_schur_partition(rep.connection_set).ok
 
     def test_non_paley_sized_set_fails(self):
         Z13 = AbelianGroup((13,))
         conn = validate_connection_set(Z13, [(1,), (12,), (2,), (11,)])
-        res = verify_schur_partition(Z13, conn)
+        res = verify_schur_partition(conn)
         assert not res.ok
         assert res.witness["product"]
 
@@ -325,7 +324,7 @@ def oracle_sets(G: AbelianGroup, rng: random.Random) -> list:
     if G.order % 4 == 1:
         sets += [[i for pair in rng.sample(pairs, len(pairs) // 2) for i in pair] for _ in range(6)]
     sets += [[], range(1, G.order)]
-    return [checked_connection_set(G, s) for s in sets]
+    return [ConnectionSet(G, s) for s in sets]
 
 
 class TestDerivedProducts:
@@ -352,11 +351,11 @@ class TestDerivedProducts:
                        "N*e": N, "N*S": SN, "N*N": (n - 2 - 2 * k) + e + 2 * S + sq}
             oracle = oracle_products(G, conn)
             assert {p: v.tolist() for p, v in derived.items()} == {p: v.tolist() for p, v in oracle.items()}
-            got, want = verify_schur_partition(G, conn), oracle_schur_partition(G, conn)
+            got, want = verify_schur_partition(conn), oracle_schur_partition(G, conn)
             assert (got.ok, got.witness) == (want.ok, want.witness)
             outcomes.add(got.ok)
             if n % 4 == 1 and k == (n - 1) // 2:
-                got, want = verify_mixed_product(G, conn, k // 2), oracle_mixed_product(G, conn, k // 2)
+                got, want = verify_mixed_product(conn, k // 2), oracle_mixed_product(G, conn, k // 2)
                 assert (got.ok, got.witness) == (want.ok, want.witness)
                 outcomes.add(("mixed", got.ok))
         assert True in outcomes
@@ -371,12 +370,12 @@ class TestDerivedProducts:
         monkeypatch.setattr(groupalgebra, "ga_mul", lambda *a: calls.append(a) or ga_mul(*a))
         conn = davis(3).connection_set
         G = conn.group
-        assert verify_srg_equation(G, conn, (81, 40, 19, 20))
-        assert verify_mixed_product(G, conn, 20) and verify_schur_partition(G, conn)
+        assert verify_srg_equation(conn, (81, 40, 19, 20))
+        assert verify_mixed_product(conn, 20) and verify_schur_partition(conn)
         assert square(conn) is square(conn) and not square(conn).flags.writeable
         assert len(calls) == 1
         fresh = ConnectionSet(G, conn.members)  # an equal set keeps no memo of its own
-        assert verify_schur_partition(G, fresh) and len(calls) == 2
+        assert verify_schur_partition(fresh) and len(calls) == 2
 
     def test_two_products_per_verify_of_a_set_file(self, monkeypatch, capsys):
         calls = []
@@ -386,46 +385,49 @@ class TestDerivedProducts:
         assert len(calls) == 2  # D * D^(-1) for the PDS count, and S^2
 
     def test_sets_holding_the_identity_raise(self):
-        """The identities need e outside S: a directly built set holding it
-        raises, as build_cayley does, before the inverse-closure check."""
+        """The identities need e outside S: a set holding it raises when it
+        is built, before any check can read it."""
         Z13 = AbelianGroup((13,))
-        with pytest.raises(SelfCheckError, match="holds the identity"):
-            verify_schur_partition(Z13, ConnectionSet(Z13, (0, 1, 12)))
-        with pytest.raises(SelfCheckError, match="holds the identity"):
-            verify_mixed_product(Z13, ConnectionSet(Z13, (0, 1, 2, 3, 11, 12)), 3)
+        with pytest.raises(InvalidConnectionSetError, match="^identity element present$"):
+            verify_schur_partition(ConnectionSet(Z13, (0, 1, 12)))
+        with pytest.raises(InvalidConnectionSetError) as exc:
+            verify_mixed_product(ConnectionSet(Z13, (0, 1, 2, 3, 11, 12)), 3)
+        assert exc.value.violations == ["identity element present", "(3,) present but -(3,) = (10,) absent"]
 
     def test_sets_not_inverse_closed_raise(self):
         Z13 = AbelianGroup((13,))
         with pytest.raises(InvalidConnectionSetError):
-            verify_schur_partition(Z13, ConnectionSet(Z13, (1, 2)))
+            verify_schur_partition(ConnectionSet(Z13, (1, 2)))
         with pytest.raises(InvalidConnectionSetError):
-            verify_mixed_product(Z13, ConnectionSet(Z13, (1, 2, 3, 4, 5, 6)), 3)
+            verify_mixed_product(ConnectionSet(Z13, (1, 2, 3, 4, 5, 6)), 3)
 
 
 class TestOrderBudget:
     """Past MAX_ORDER each check raises BudgetError before it allocates a
-    vector of the group's order (Z1000000007 would ask for 8 GB)."""
+    vector of the group's order (Z1000000007 would ask for 8 GB).  ga_mul
+    and verify_pds take raw index arrays and check the budget themselves;
+    the set checks cannot be reached past it, since ConnectionSet checks it
+    first."""
 
     CHECKS = {
         "ga_mul": lambda G, small, half: ga_mul(G, [1], [1]),
-        "verify_pds": lambda G, small, half: verify_pds(G, small.indices(), 0, 1),
+        "verify_pds": lambda G, small, half: verify_pds(G, small, 0, 1),
         "verify_srg_equation": lambda G, small, half: verify_srg_equation(
-            G, small, (G.order, small.size, 0, 1)
+            ConnectionSet(G, small), (G.order, len(small), 0, 1)
         ),
         "verify_mixed_product": lambda G, small, half: verify_mixed_product(
-            G, half, (G.order - 1) // 4
+            ConnectionSet(G, half), (G.order - 1) // 4
         ),
-        "verify_schur_partition": lambda G, small, half: verify_schur_partition(G, small),
+        "verify_schur_partition": lambda G, small, half: verify_schur_partition(
+            ConnectionSet(G, small)
+        ),
     }
 
     @staticmethod
     def sets(G):
-        """{1, -1} and {1, -1, ..., t, -t} with |G| = 4t + 1, built directly
-        so that no table of G is touched."""
+        """The indices of {1, -1} and {1, -1, ..., t, -t} with |G| = 4t + 1."""
         n = G.order
-        small = ConnectionSet(G, (1, n - 1))
-        half = ConnectionSet(G, sorted(r for i in range(1, (n - 1) // 4 + 1) for r in (i, n - i)))
-        return small, half
+        return [1, n - 1], [r for i in range(1, (n - 1) // 4 + 1) for r in (i, n - i)]
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_raises_before_allocating(self, name):
@@ -434,7 +436,7 @@ class TestOrderBudget:
         check(Z5, *self.sets(Z5))  # first-call imports and caches are not counted
         G = AbelianGroup((MAX_ORDER + 1,))
         small, half = self.sets(G)
-        assert half.size == (G.order - 1) // 2
+        assert len(half) == (G.order - 1) // 2
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError, match="group order 4097 exceeds"):
@@ -474,32 +476,32 @@ class TestWitnessLiterals:
 
     def test_srg_equation(self):
         rep = paley(13)
-        assert verify_srg_equation(rep.group, rep.connection_set, (13, 6, 3, 2)).witness == {
+        assert verify_srg_equation(rep.connection_set, (13, 6, 3, 2)).witness == {
             "element": [1], "actual": 2, "expected": 3,
         }
         G = AbelianGroup((2, 4))
         conn = validate_connection_set(G, [(1, 0), (0, 1), (0, 3)])
-        assert verify_srg_equation(G, conn, (8, 3, 0, 1)).witness == {
+        assert verify_srg_equation(conn, (8, 3, 0, 1)).witness == {
             "element": [0, 2], "actual": 2, "expected": 1,
         }
 
     def test_mixed_product(self):
         Z9 = AbelianGroup((9,))
         conn = validate_connection_set(Z9, [(1,), (8,), (2,), (7,)])
-        assert verify_mixed_product(Z9, conn, 2).witness == {
+        assert verify_mixed_product(conn, 2).witness == {
             "element": [1], "actual": 1, "expected": 2,
         }
 
     def test_schur_partition(self):
         Z13 = AbelianGroup((13,))
         conn = validate_connection_set(Z13, [(1,), (12,), (2,), (11,)])
-        assert verify_schur_partition(Z13, conn).witness == {
+        assert verify_schur_partition(conn).witness == {
             "product": "S*S", "part": "S", "first_value": 2, "other_value": 1,
             "at_element": [2],
         }
         G = AbelianGroup((9, 9))
         conn = validate_connection_set(G, [(0, 1), (0, 8), (1, 0), (8, 0), (1, 1), (8, 8)])
-        assert verify_schur_partition(G, conn).witness == {
+        assert verify_schur_partition(conn).witness == {
             "product": "S*S", "part": "N", "first_value": 1, "other_value": 0,
             "at_element": [0, 3],
         }

@@ -924,7 +924,7 @@ class TestVertexTransitiveRoot:
 
         conn = davis(5).connection_set
         G = conn.group
-        assert verify_schur_partition(G, conn)
+        assert verify_schur_partition(conn)
         assert not is_self_complementary(build_cayley(conn), conn).isomorphic
         cached = {name: np.size(value) for name, value in vars(G).items()}
         assert "residue_matrix" in cached
