@@ -92,7 +92,8 @@ def validate_connection_set(group: AbelianGroup, elements: Iterable[GroupElement
 
 def build_cayley(conn: ConnectionSet) -> DenseGraph:
     """Cay(G, S): vertex i ~ j iff g_i - g_j in S; the graph is |S|-regular
-    and marked vertex-transitive, as the translations are automorphisms.
+    and carries S as its connection_set, which marks it vertex-transitive:
+    the translations are automorphisms.
 
     A[i, j] is the indicator of S at g_j - g_i: the translates of that
     indicator, G.translates, copied once into a C-contiguous n x n array.
@@ -106,7 +107,7 @@ def build_cayley(conn: ConnectionSet) -> DenseGraph:
     indicator = np.zeros(n, dtype=np.uint8)
     indicator[conn.indices()] = 1
     A = np.ascontiguousarray(G.translates(indicator).reshape(n, n))
-    return DenseGraph._proven(A, vertex_transitive=True)
+    return DenseGraph._proven(A, conn)
 
 
 def complement_connection_set(conn: ConnectionSet) -> ConnectionSet:

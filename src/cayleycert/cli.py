@@ -172,7 +172,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 # --- verify ----------------------------------------------------------------------
 
 
-def _load_input(path: str, fmt: Optional[str]) -> tuple[DenseGraph, Optional[ConnectionSet]]:
+def _load_input(path: str, fmt: Optional[str]) -> DenseGraph:
     p = Path(path)
     text = p.read_text()
     if fmt is None:
@@ -183,16 +183,15 @@ def _load_input(path: str, fmt: Optional[str]) -> tuple[DenseGraph, Optional[Con
         else:
             fmt = "edgelist"
     if fmt == "set":
-        conn = connection_set_from_text(text)
-        return build_cayley(conn), conn
+        return build_cayley(connection_set_from_text(text))
     if fmt == "graph6":
-        return from_graph6(next(iter(text.splitlines()), "")), None
+        return from_graph6(next(iter(text.splitlines()), ""))
     if fmt == "edgelist":
-        return from_edge_list(text), None
+        return from_edge_list(text)
     raise ValueError(f"unknown input format {fmt!r}")
 
 
-def _inline_connection_set(group_spec: str, set_text: str) -> tuple[DenseGraph, ConnectionSet]:
+def _inline_connection_set(group_spec: str, set_text: str) -> DenseGraph:
     """Inline sets for small groups: --group Z13 --set "1;3;4;9;10;12"
     (elements separated by ';', residues within an element by ',')."""
     from .cayley import parse_element, validate_connection_set
@@ -201,11 +200,10 @@ def _inline_connection_set(group_spec: str, set_text: str) -> tuple[DenseGraph, 
     group = parse_group_spec(group_spec)
     chunks = [(i, c.strip()) for i, c in enumerate(set_text.split(";"), 1) if c.strip()]
     elems = [parse_element(c, f"element {i}") for i, c in chunks]
-    conn = validate_connection_set(group, elems)
-    return build_cayley(conn), conn
+    return build_cayley(validate_connection_set(group, elems))
 
 
-def _check_srg(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
+def _check_srg(graph: DenseGraph, args) -> dict:
     res = check_srg(graph)
     out: dict = {"passed": res.is_srg}
     if res.is_srg:
@@ -222,7 +220,7 @@ def _check_srg(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     return out
 
 
-def _check_dr(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
+def _check_dr(graph: DenseGraph, args) -> dict:
     res = intersection_array(graph)
     out: dict = {"passed": res.is_distance_regular}
     if res.is_distance_regular:
@@ -237,7 +235,8 @@ def _check_dr(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
     return out
 
 
-def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
+def _check_pds(graph: DenseGraph, args) -> dict:
+    conn = graph.connection_set
     srg = check_srg(graph)
     if not srg.is_srg:
         return {"passed": False, "reason": f"not strongly regular: {srg.reason}"}
@@ -257,25 +256,25 @@ def _check_pds(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
     return out
 
 
-def _check_schur(graph: DenseGraph, conn: ConnectionSet, args) -> dict:
-    schur = verify_schur_partition(conn)
+def _check_schur(graph: DenseGraph, args) -> dict:
+    schur = verify_schur_partition(graph.connection_set)
     out = {"passed": bool(schur), "schur_closure": bool(schur)}
     if schur.witness:
         out["witness"] = schur.witness
     srg = check_srg(graph)
     if srg.is_srg and srg.params.conference_t is not None:
         t = srg.params.conference_t
-        mixed = verify_mixed_product(conn, t)
+        mixed = verify_mixed_product(graph.connection_set, t)
         out["mixed_product_t"] = t
         out["mixed_product"] = bool(mixed)
         out["passed"] = out["passed"] and bool(mixed)
     return out
 
 
-def _check_selfcomp(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
+def _check_selfcomp(graph: DenseGraph, args) -> dict:
     decision = is_self_complementary(
         graph,
-        hint=conn,
+        hint=graph.connection_set,
         node_budget=args.node_budget,
         time_budget=args.time_budget,
     )
@@ -287,7 +286,7 @@ def _check_selfcomp(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> d
     }
 
 
-def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet], args) -> dict:
+def _check_invariants(graph: DenseGraph, args) -> dict:
     fp = fingerprint(graph)
     degree_counts: dict[str, int] = {}
     for d in fp.degrees:
@@ -303,17 +302,17 @@ def _check_invariants(graph: DenseGraph, conn: Optional[ConnectionSet], args) ->
         "mod_ranks": {f"p{p}_shift{s}": r for ((p, s), r) in fp.mod_ranks},
         "diameter": "disconnected" if diam is None else diam,
     }
-    if conn is not None:
+    if graph.connection_set is not None:
         out["connected_cayley"] = is_connected(graph)
     return out
 
 
 class Check(NamedTuple):
-    """One verify check: its flag, its runner and whether it needs the group
-    of a connection set, which a bare graph input does not carry."""
+    """One verify check: its flag, its runner and whether it needs the
+    connection set of a .set input, which a bare graph input does not carry."""
 
     name: str
-    run: Callable[[DenseGraph, Optional[ConnectionSet], argparse.Namespace], dict]
+    run: Callable[[DenseGraph, argparse.Namespace], dict]
     needs_group: bool
     help: str
 
@@ -359,9 +358,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         if args.group is not None:
-            graph, conn = _inline_connection_set(args.group, args.set)
+            graph = _inline_connection_set(args.group, args.set)
         else:
-            graph, conn = _load_input(args.input, args.format)
+            graph = _load_input(args.input, args.format)
     except BudgetError as exc:
         _eprint(f"error: {exc}")
         return EXIT_USAGE
@@ -370,7 +369,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
 
     requested = [c for c in CHECKS if getattr(args, c.name)]
-    if conn is None and any(c.needs_group for c in requested):
+    if graph.connection_set is None and any(c.needs_group for c in requested):
         _eprint(
             f"error: {_flags(c for c in CHECKS if c.needs_group)} need the group structure; "
             "supply a connection-set (.set) input instead of a bare graph"
@@ -380,7 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks: dict[str, dict] = {}
     for check in requested:
         t0 = time.monotonic()
-        checks[check.name] = check.run(graph, conn, args)
+        checks[check.name] = check.run(graph, args)
         timings[check.name] = time.monotonic() - t0
 
     all_passed = all(c["passed"] for c in checks.values())

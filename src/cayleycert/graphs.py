@@ -1,21 +1,19 @@
 """Dense undirected simple graphs with exact structural certification.
 
-A graph is its read-only n x n uint8 adjacency matrix.  The vectorized
-kernels work on it directly: the SRG check and the distance layers (float32
-products of a block of 0/1 rows with the adjacency, or at vertex 0 of a
-graph marked vertex-transitive int32 sums of its rows), one edges-inside
-product behind the triangle count, the 4-clique count (one per vertex, at
-the second vertex of each 4-clique), the per-edge pass of the edge profile
-and the deep color refinement, the odd-p ranks (lazily reduced elimination
-in int32 or int64, where the parameters of a strongly regular graph do not
-fix the rank) and the graph6 format.  The float32 products are exact because every
-value they form is an integer below 2^24.  Where a kernel
-needs them, the rows are also packed into Python ints, once per graph: the
-GF(2) rank is an XOR basis of those bit rows, and the one BFS ORs them (the
-distances from vertex 0, and of graphs with a large eccentricity).  On a
-graph marked vertex-transitive whose row 0 of A + A^2 has no zero (every
-connected strongly regular one), the distances from vertex 0 are read off
-that row instead, with no BFS and no packed rows.
+A graph is its read-only n x n uint8 adjacency matrix, the one stored
+format.  The vectorized kernels work on it directly: the SRG check and the
+distance layers (float32 products of a block of 0/1 rows with the
+adjacency), one edges-inside product behind the triangle count, the
+4-clique count (one per vertex, at the second vertex of each 4-clique), the
+per-edge pass of the edge profile and the deep color refinement, the odd-p
+ranks (lazily reduced elimination in int32 or int64, where the parameters
+of a strongly regular graph do not fix the rank) and the graph6 format.
+The float32 products are exact because every value they form is an integer
+below 2^24.  The GF(2) rank (an XOR basis) and the one BFS (distances from
+vertex 0, and of graphs with a large eccentricity) pack the rows they read
+into Python ints.  On a Cayley graph, row 0 of A^2 is S^2 in Z[G] for its
+connection set S; when row 0 of A + A^2 has no zero (every connected
+strongly regular one), the distances from vertex 0 are read off it, no BFS.
 Every result is exact; there is no floating-point spectral computation.
 """
 
@@ -24,9 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # cayley and groupalgebra import this module
+    from .cayley import ConnectionSet
 
 #: The desk-scale budget: the largest graph, group or field order built.  It
 #: also sizes colour refinement's keys: a neighbour count is at most n and a
@@ -64,13 +65,13 @@ class DenseGraph:
     symmetric, and keeps them unchecked and uncopied; relabel and complement,
     which derive from a checked graph, keep their arrays the same way.
 
-    vertex_transitive=True is a fact the caller guarantees, not one checked
-    here: Aut(G) moves vertex 0 to every vertex.  The graph is then regular,
-    and the SRG, distance, clique and per-edge kernels stop after vertex 0.
-    Only build_cayley sets it, since the translations of the group are
-    automorphisms of every Cayley graph."""
+    connection_set is S on Cay(G, S) as build_cayley labels it, and on its
+    complement the complement set; every other graph, a relabelled one too,
+    has None.  vertex_transitive reads it: the translations carry vertex 0
+    to every vertex, so the graph is regular, and the SRG, distance, clique
+    and per-edge kernels stop after vertex 0."""
 
-    def __init__(self, A, *, vertex_transitive: bool = False):
+    def __init__(self, A):
         A = np.asarray(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency must be a square matrix, not of shape {A.shape}")
@@ -86,22 +87,22 @@ class DenseGraph:
             raise ValueError(f"loop at vertex {loops[0]}")
         A = A.astype(np.uint8, order="C")
         _first_pair(A != A.T, "adjacency not symmetric at pair {}")
-        self._keep(A, vertex_transitive)
+        self._keep(A, None)
 
     @classmethod
-    def _proven(cls, A: np.ndarray, vertex_transitive: bool) -> "DenseGraph":
+    def _proven(cls, A: np.ndarray, connection_set: Optional[ConnectionSet] = None) -> "DenseGraph":
         """The graph on A itself, neither checked nor copied: A is a fresh
-        C-contiguous n x n uint8 array, 0/1, loop-free and symmetric, which
-        its maker proves (see the class docstring)."""
+        C-contiguous n x n uint8 array, 0/1, loop-free, symmetric and the
+        array of Cay(G, connection_set) if given, as its maker proves."""
         graph = cls.__new__(cls)
-        graph._keep(A, vertex_transitive)
+        graph._keep(A, connection_set)
         return graph
 
-    def _keep(self, A: np.ndarray, vertex_transitive: bool) -> None:
+    def _keep(self, A: np.ndarray, connection_set: Optional[ConnectionSet]) -> None:
         A.setflags(write=False)
         self.n = A.shape[0]
         self._adjacency = A
-        self._vertex_transitive = bool(vertex_transitive)
+        self._connection_set = connection_set
         self._cache: dict = {}
 
     @classmethod
@@ -134,18 +135,16 @@ class DenseGraph:
         return self._cache[compute]
 
     @property
+    def connection_set(self) -> Optional[ConnectionSet]:
+        return self._connection_set
+
+    @property
     def vertex_transitive(self) -> bool:
-        return self._vertex_transitive
+        return self._connection_set is not None
 
     def adjacency(self) -> np.ndarray:
         """The stored read-only n x n uint8 adjacency matrix."""
         return self._adjacency
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """Row i packed into a Python int, the neighbour bitmask of vertex i,
-        for the XOR-basis and BFS kernels; packed once per graph."""
-        return self._memo(_pack_rows)
 
     def degree(self, u: int) -> int:
         return int(np.count_nonzero(self._adjacency[u]))
@@ -157,14 +156,12 @@ class DenseGraph:
         return int(np.count_nonzero(self._adjacency)) // 2
 
     def relabel(self, perm: Sequence[int]) -> "DenseGraph":
-        """Image graph where vertex u is renamed perm[u]."""
+        """Image graph where vertex u is renamed perm[u]; unmarked."""
         p = np.asarray(perm)
         if len(p) != self.n or not is_permutation(p):
             raise ValueError(f"{p.tolist()} is not a permutation of 0..{self.n - 1}")
         inverse = np.argsort(p)
-        return DenseGraph._proven(
-            self._adjacency[np.ix_(inverse, inverse)], vertex_transitive=self.vertex_transitive
-        )
+        return DenseGraph._proven(self._adjacency[np.ix_(inverse, inverse)])
 
 
 def _first_pair(bad: np.ndarray, message: str) -> None:
@@ -179,8 +176,9 @@ def is_permutation(perm: np.ndarray) -> bool:
     return perm.ndim == 1 and bool(np.array_equal(np.sort(perm), np.arange(len(perm))))
 
 
-def _pack_rows(graph: DenseGraph) -> tuple[int, ...]:
-    packed = np.packbits(graph.adjacency(), axis=1, bitorder="little")
+def _pack_rows(A: np.ndarray) -> tuple[int, ...]:
+    """Row i of A as a Python int, the neighbour bitmask of vertex i."""
+    packed = np.packbits(A, axis=1, bitorder="little")
     return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
@@ -369,16 +367,20 @@ class DistanceRegularResult:
 
 
 def complement(graph: DenseGraph) -> DenseGraph:
+    """The complement; of Cay(G, S), Cay(G, complement_connection_set(S))."""
+    from .cayley import complement_connection_set
+
     A = graph.adjacency() ^ 1
     np.fill_diagonal(A, 0)
-    return DenseGraph._proven(A, vertex_transitive=graph.vertex_transitive)
+    conn = graph.connection_set
+    return DenseGraph._proven(A, None if conn is None else complement_connection_set(conn))
 
 
 def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
     """dist[j, x], the distance from sources[j] to x (-1 when x is not
     reached), by a bit-row BFS per source: each layer is the OR of the bit
     rows of the layer before, minus the vertices already reached."""
-    rows = graph.rows
+    rows = _pack_rows(graph.adjacency())
     dist = np.full((len(sources), graph.n), -1, dtype=np.int32)
     for j, s in enumerate(map(int, sources)):
         row = [-1] * graph.n
@@ -401,13 +403,12 @@ def _bfs_layers(graph: DenseGraph, sources: Sequence[int]) -> np.ndarray:
 
 def _base_distances(graph: DenseGraph) -> np.ndarray:
     """The distances from vertex 0, memoised for is_connected and for the
-    choice of distance kernel in _distance_blocks.  On a graph marked
-    vertex-transitive whose row 0 of A + A^2 has no zero, every vertex is
-    within distance 2 of vertex 0: 1 on N(0) and 2 off it, read off that row,
-    which _check_srg reads anyway.  Every other graph takes the bit-row BFS."""
+    choice of distance kernel in _distance_blocks.  On a Cayley graph whose
+    row 0 of A + A^2 has no zero, they are 1 on N(0) and 2 off it, read off
+    that row, which _check_srg reads anyway; else the bit-row BFS."""
     if graph.vertex_transitive:
         near = graph.adjacency()[0]
-        if (graph._memo(_square_row0) + near).all():
+        if (_square_row0(graph) + near).all():
             dist = 2 - near.astype(np.int32)
             dist[0] = 0
             return dist
@@ -415,11 +416,11 @@ def _base_distances(graph: DenseGraph) -> np.ndarray:
 
 
 def _square_row0(graph: DenseGraph) -> np.ndarray:
-    """Row 0 of A^2, the int32 _rows_sum of the rows N(0): entry x counts the
-    common neighbours of 0 and x.  Memoised on a graph marked
-    vertex-transitive for _base_distances and _check_srg."""
-    A = graph.adjacency()
-    return _rows_sum(A, A[0])
+    """Row 0 of A^2 on a Cayley graph: entry x counts the pairs in S x S
+    summing to g_x, so it is S^2, memoised on the set (groupalgebra.square)."""
+    from .groupalgebra import square
+
+    return square(graph.connection_set)
 
 
 def is_connected(graph: DenseGraph) -> bool:
@@ -485,18 +486,7 @@ def _product_distances(A: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _rows_sum(A: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """mask @ A for the uint8 adjacency A and a 0/1 vector mask, as the int32
-    sum of the rows of A that mask selects, ROW_BLOCK rows at a time: entry x
-    counts the neighbours of x in the mask.  Exact, with no float32 copy."""
-    rows = np.flatnonzero(mask)
-    out = np.zeros(A.shape[1], dtype=np.int32)
-    for start in range(0, len(rows), ROW_BLOCK):
-        out += A[rows[start : start + ROW_BLOCK]].sum(axis=0, dtype=np.int32)
-    return out
-
-
-def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _layer_counts(A, dist: np.ndarray, k: int, conn) -> tuple[np.ndarray, np.ndarray]:
     """(above, below): above[j, x] and below[j, x] count the neighbours of x
     one layer farther from and one layer nearer to sources[j], in a
     connected k-regular graph.
@@ -505,12 +495,15 @@ def _layer_counts(A: np.ndarray, dist: np.ndarray, k: int) -> tuple[np.ndarray, 
     layers differ mod 3, so two counts give the neighbours in the layers = 0
     and = 1 mod 3, and k minus both those in the layers = 2 mod 3.  A is the
     float32 adjacency, and the counts are products with it (exact as in
-    _product_distances), or the uint8 adjacency when dist is the one row of
-    source 0, and the counts are _rows_sum over the layers.
+    _product_distances), or None on a Cayley graph, whose dist is source 0's
+    alone: the counts are then L * S in Z[G], L a union of layers, S = conn.
     """
     residue = dist % 3
-    if A.dtype == np.uint8:
-        c0, c1 = (_rows_sum(A, residue[0] == r)[None] for r in (0, 1))
+    if conn is not None:
+        from .groupalgebra import ga_mul
+
+        layers = (np.flatnonzero(residue[0] == r) for r in (0, 1))
+        c0, c1 = (ga_mul(conn.group, layer, conn.members)[None] for layer in layers)
     else:
         c0, c1 = ((residue == r).astype(np.float32) @ A for r in (0, 1))
     counts = [c0, c1, k - c0 - c1]
@@ -581,8 +574,8 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     and mu on non-edges.  lam and mu come from the first edge and the first
     non-edge in row-major order, and the witness is the first pair that
     differs in that order.  The float32 product is exact for the reason given
-    in _product_distances.  A graph marked vertex-transitive checks row 0
-    alone, the int32 row 0 of A^2 that _base_distances memoises first.
+    in _product_distances.  A Cayley graph checks row 0 alone, the S^2 that
+    _base_distances reads first.
     """
     n = graph.n
     witness = _not_regular(graph)
@@ -604,7 +597,7 @@ def _check_srg(graph: DenseGraph) -> SrgResult:
     # (start, C): C[i, j] = |N(start + i) & N(start + j)| for the columns from
     # start on, which alone meet the upper triangle; the diagonal is C[i, i]
     if graph.vertex_transitive:
-        blocks = [(0, graph._memo(_square_row0)[None])]
+        blocks = [(0, _square_row0(graph)[None])]
     else:
         A32 = A.astype(np.float32)
         blocks = ((s, A32[s : s + ROW_BLOCK] @ A32[:, s:]) for s in range(0, n, ROW_BLOCK))
@@ -651,13 +644,13 @@ def intersection_array(graph: DenseGraph) -> DistanceRegularResult:
     if witness is not None:
         return DistanceRegularResult(None, "not regular", witness)
     k = graph.degree(0)
-    stop = _source_stop(graph)
-    # source 0 alone is counted on the stored uint8 rows, blocks of sources by float32 products
-    A = graph.adjacency() if stop == 1 else graph.adjacency().astype(np.float32)
-    for sources, dist in _distance_blocks(graph, stop, A):
+    # source 0 alone is counted in Z[G], blocks of sources by float32 products
+    conn = graph.connection_set
+    A = None if conn is not None else graph.adjacency().astype(np.float32)
+    for sources, dist in _distance_blocks(graph, _source_stop(graph), A):
         if sources[0] == 0 and (dist[0] < 0).any():
             return DistanceRegularResult(None, "disconnected", None)
-        above, below = _layer_counts(A, dist, k)
+        above, below = _layer_counts(A, dist, k, conn)
         if sources[0] == 0:
             d = int(dist[0].max())
             first = [int(np.flatnonzero(dist[0] == i)[0]) for i in range(d + 1)]
@@ -833,7 +826,8 @@ def mod_p_rank(graph: DenseGraph, p: int, shift: int = 0) -> int:
 def _eliminated_rank(graph: DenseGraph, p: int, shift: int) -> int:
     """The rank of (A + shift*I) over Z_p by elimination alone."""
     if p == 2:
-        return _gf2_rank(r ^ ((shift % 2) << u) for u, r in enumerate(graph.rows))
+        rows = _pack_rows(graph.adjacency())
+        return _gf2_rank(r ^ ((shift % 2) << u) for u, r in enumerate(rows))
     return _odd_p_rank(graph, p, shift)
 
 
@@ -958,22 +952,23 @@ def from_graph6(text: str) -> DenseGraph:
     return DenseGraph(lower | lower.T)
 
 
-def from_edge_list(text: str, n: Optional[int] = None) -> DenseGraph:
-    """Parse "u v" lines; n defaults to max vertex + 1."""
+def from_edge_list(text: str) -> DenseGraph:
+    """Parse "u v" lines, u and v non-negative integers; n is the largest
+    vertex + 1.  An error names its line, blank and comment lines counted."""
     edges = []
-    top = -1
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+            raise ValueError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
+        bad = [part for part in parts if not part.isdecimal()]
+        if bad:
+            raise ValueError(f"line {lineno}: bad vertex {bad[0]!r}")
+        u, v = map(int, parts)
+        if u == v:
+            raise ValueError(f"line {lineno}: loop at vertex {u}")
         edges.append((u, v))
-        top = max(top, u, v)
-    if n is None:
-        n = top + 1
-    if n < 1:
+    if not edges:
         raise ValueError("edge list defines no vertices")
-    return DenseGraph.from_edges(n, edges)
+    return DenseGraph.from_edges(max(map(max, edges)) + 1, edges)

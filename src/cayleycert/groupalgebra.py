@@ -38,19 +38,22 @@ def ga_mul(group: AbelianGroup, x, y) -> np.ndarray:
     """X*Y for index arrays x, y: coefficient of w = #{(i, j) : g_i + g_j = w}.
 
     That is the sum over i in x of the multiplicity in y of w - g_i: the
-    rows at x of the translates of y's int32 multiplicities, gathered
-    ROW_BLOCK at a time and summed in int64.  Repeated entries count once per
-    repeat.  A count is at most |X|*|Y|, so int64 is exact.  The order budget
+    rows at x of the translates of y's multiplicities, gathered ROW_BLOCK at
+    a time and summed into int64.  Repeated entries count once per repeat.
+    Multiplicities all at most 255 (a set's) are uint8 and a block sums in
+    int32, exact as ROW_BLOCK * 255 < 2^31; others are int32 and sum in
+    int64.  A count is at most |X|*|Y|, so int64 is exact.  The order budget
     is checked before any vector of the group's order is allocated.
     """
     check_order_budget("group", group.order)
-    mult = np.bincount(np.asarray(y, dtype=np.intp), minlength=group.order).astype(np.int32)
-    t = group.translates(mult)
+    mult = np.bincount(np.asarray(y, dtype=np.intp), minlength=group.order)
+    small = mult.max(initial=0) <= 255
+    t = group.translates(mult.astype(np.uint8 if small else np.int32))
     x = np.asarray(x, dtype=np.intp)
     out = np.zeros(group.factors, dtype=np.int64)
     for start in range(0, len(x), ROW_BLOCK):
         rows = t[np.unravel_index(x[start : start + ROW_BLOCK], group.factors)]
-        out += rows.sum(axis=0, dtype=np.int64)
+        out += rows.sum(axis=0, dtype=np.int32 if small else np.int64)
     return out.reshape(group.order)
 
 

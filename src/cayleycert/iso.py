@@ -20,9 +20,9 @@ Decision pipeline, cheapest sound step first:
   5. search: the same search without the cap, a complete decider that
      returns an explicit vertex bijection or exhausts the tree.
 
-The graph's vertex_transitive mark (set by build_cayley) is the one record of
-vertex-transitivity: on a marked target the probe and the search try only
-its vertex 0 at the root, as the SRG and distance kernels read vertex 0 only.
+A graph's connection set (from build_cayley or complement) is the one
+record of vertex-transitivity: on such a target the probe and the search try
+only its vertex 0 at the root, as the SRG and distance kernels read vertex 0.
 
 Every positive answer is re-validated against the adjacency matrices before
 it is returned; refutations carry the distinguishing invariant and both
@@ -598,11 +598,11 @@ def is_self_complementary(
 
     A connection-set hint (the graph must equal build_cayley(hint)) enables
     the fast group-automorphism certificate scan.  The decision then runs on
-    the built graph, which equals the input and is marked vertex-transitive,
-    so a graph read from graph6 with a hint gets the vertex-0 kernels and the
-    search root {0} as a .set input does.
+    the built graph, which equals the input and carries the hint, so a graph
+    read from graph6 with a hint gets the vertex-0 kernels and the search
+    root {0} as a .set input does, which carries it already and is kept.
     """
-    if hint is not None:
+    if hint is not None and graph.connection_set != hint:
         built = build_cayley(hint)
         if built != graph:
             raise ValueError("hint connection set does not build this labeled graph")

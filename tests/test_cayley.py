@@ -33,7 +33,7 @@ from cayleycert.graphs import (
 )
 from cayleycert.groups import AbelianGroup
 
-from test_graphs import check_adjacency_identity, edge_pairs
+from test_graphs import bit_rows, check_adjacency_identity, edge_pairs
 from test_groups import ORACLE_GROUPS, oracle_add, oracle_elements, oracle_neg, oracle_translation
 
 
@@ -224,7 +224,7 @@ class TestBuild:
             G = AbelianGroup(factors)
             sets += [validate_connection_set(G, []), random_inverse_closed(G, rng)]
         for conn in sets:
-            assert build_cayley(conn).rows == reference_build_cayley(conn)
+            assert bit_rows(build_cayley(conn)) == reference_build_cayley(conn)
 
 
     def test_order_budget_checked_before_allocating(self):
@@ -425,6 +425,8 @@ class TestVertexTransitiveKernels:
     def test_families_match_dense_path(self):
         for conn in family_sets():
             assert_marked_matches_unmarked(conn)
+            # complement marks its graph with the set the other half checks
+            assert complement(build_cayley(conn)).connection_set == complement_connection_set(conn)
 
     @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=lambda f: "x".join(map(str, f)))
     def test_random_sets_match_dense_path(self, factors):

@@ -337,6 +337,7 @@ class TestVerify:
             (["{tmp}/blank.set"], "cannot read input: line 5: bad element tuple 'x'"),
             (["--group", "Z13", "--set", "1;;x"],
              "cannot read input: element 3: bad element tuple 'x'"),
+            (["{tmp}/bad.txt"], "cannot read input: line 2: bad vertex 'x'"),
         ],
     )
     def test_input_error_messages(self, capsys, tmp_path, argv, err):
@@ -344,6 +345,7 @@ class TestVerify:
         parse failures carry the "cannot read input:" prefix."""
         (tmp_path / "big.g6").write_text("~@MG\n")  # the graph6 header of n = 5000
         (tmp_path / "big.txt").write_text("0 5000\n")
+        (tmp_path / "bad.txt").write_text("0 1\n1 x\n")
         (tmp_path / "bad.set").write_text("group Z13\n1\n12\nx\n")
         (tmp_path / "blank.set").write_text("group Z13\n\n1\n\nx\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
@@ -441,3 +443,31 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "cayleycert" in proc.stdout
+
+
+#: Imports cayleycert.<argv[1]> before any other module of the package: the
+#: package is a bare stand-in for its __init__, which would import groups,
+#: fields and graphs first.  cli reads __version__ off the package.
+IMPORT_FIRST = (
+    "import importlib, importlib.util, sys, types\n"
+    "pkg = types.ModuleType('cayleycert')\n"
+    "pkg.__path__ = importlib.util.find_spec('cayleycert').submodule_search_locations\n"
+    "pkg.__version__ = None\n"
+    "sys.modules['cayleycert'] = pkg\n"
+    "importlib.import_module('cayleycert.' + sys.argv[1])\n"
+)
+
+
+class TestImportOrder:
+    """No import cycle at module level: graphs, which cayley and
+    groupalgebra import, reaches them only inside its functions."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    @pytest.mark.parametrize(
+        "module", ["graphs", "groups", "cayley", "groupalgebra", "fields", "families", "iso", "cli"]
+    )
+    def test_module_imported_first(self, module, flags):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", IMPORT_FIRST, module], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -15,9 +15,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from cayleycert.cayley import build_cayley, lex_product, validate_connection_set
+from cayleycert.cayley import (
+    ConnectionSet,
+    build_cayley,
+    complement_connection_set,
+    lex_product,
+    validate_connection_set,
+)
 from cayleycert.families import davis, paley, peisert
-from cayleycert.groups import AbelianGroup
+from cayleycert.groups import AbelianGroup, GroupAutomorphism, _automorphism_batches
 from cayleycert import graphs
 from cayleycert.graphs import (
     MAX_ORDER,
@@ -58,6 +64,12 @@ def path(n):
 
 def empty(n):
     return DenseGraph(np.zeros((n, n), dtype=np.uint8))
+
+
+def bit_rows(g):
+    """Row u of the adjacency as a Python int with bit v set iff u ~ v, read
+    from the row's digits: the bit rows the reference loops work on."""
+    return tuple(int((row[::-1] + 48).tobytes(), 2) for row in g.adjacency())
 
 
 def edge_pairs(g):
@@ -163,10 +175,10 @@ class TestConstruction:
 
     def test_adjacency_mirror(self):
         g = cycle(5)
-        A = g.adjacency()
+        A, rows = g.adjacency(), bit_rows(g)
         for u in range(5):
             for v in range(5):
-                assert bool(A[u, v]) == bool((g.rows[u] >> v) & 1)
+                assert bool(A[u, v]) == bool((rows[u] >> v) & 1)
 
     def test_relabel_preserves_structure(self):
         g = path(4)
@@ -371,7 +383,7 @@ class TestInvariantCounts:
             "odd edges-inside count 1 at row 0",
             # the one arc 1->2 is all of G[N+(0)], and no row below 1 meets it
             "the clique sums 1 and 0 are not multiples of 2 and 1",
-            # marked: G[N(0)] holds the triangle 1 2 3 and the arcs 4->1, 4->2,
+            # marked by C5's set: G[N(0)] holds the triangle 1 2 3 and the arcs 4->1, 4->2,
             # so each of the 4 rows counts one edge inside, 4 in all
             "the clique sums 8 and 4 are not multiples of 2 and 3",
             "1 triangles by the clique kernel, 26 by product",
@@ -414,20 +426,35 @@ class TestTriangleCount:
             fingerprint(g)
 
 
+def moved_set(conn, rng):
+    """sigma(S) for an automorphism sigma of the group drawn by rng from the
+    first batch of the scan's candidates: Cay(G, sigma(S)) is a Cayley graph
+    isomorphic to Cay(G, S), labelled like its own set, not like S."""
+    G = conn.group
+    images, _residues = next(_automorphism_batches(G))
+    row = images[rng.integers(len(images))]
+    sigma = GroupAutomorphism(G, tuple(G.element_of(int(i)) for i in row))
+    return ConnectionSet(G, sigma.as_permutation()[conn.indices()])
+
+
+def moved_and_relabelled(conn, rng):
+    """(g, marked, plain) for Cay(G, S) and for its complement: g as built,
+    marked = the Cayley graph of the automorphism-moved set, and plain = a
+    relabelled copy of g, which carries no connection set."""
+    out = []
+    for s in (conn, complement_connection_set(conn)):
+        g = build_cayley(s)
+        out.append((g, build_cayley(moved_set(s, rng)), g.relabel(rng.permutation(g.n))))
+    return out
+
+
 def cayley_clique_corpus():
-    """(g, marked, plain) for relabelled Cayley graphs and their complements:
-    g as built, a relabelled copy keeping the vertex-transitive mark, and the
-    same copy unmarked."""
+    """moved_and_relabelled of family sets."""
     rng = np.random.default_rng(47)
     p5 = paley(5).connection_set
     sets = [paley(q).connection_set for q in (13, 25)] + [peisert(49).connection_set]
     sets += [davis(3).connection_set, lex_product(p5, p5)]
-    out = []
-    for conn in sets:
-        for g in (build_cayley(conn), complement(build_cayley(conn))):
-            marked = g.relabel(rng.permutation(g.n))
-            out.append((g, marked, DenseGraph(marked.adjacency())))
-    return out
+    return [triple for conn in sets for triple in moved_and_relabelled(conn, rng)]
 
 
 def brute_triangles(g):
@@ -475,7 +502,8 @@ def reference_class_edge_counts(g, colors, k):
     masks = [0] * k
     for v, c in enumerate(colors.tolist()):
         masks[c] |= 1 << v
-    return [[_edges_inside(g.rows, row & mask) for mask in masks] for row in g.rows]
+    rows = bit_rows(g)
+    return [[_edges_inside(rows, row & mask) for mask in masks] for row in rows]
 
 
 class TestEdgesInsideKernel:
@@ -490,11 +518,12 @@ class TestEdgesInsideKernel:
     def test_mask_counts(self):
         rng = random.Random(37)
         for g in self.corpus():
+            rows = bit_rows(g)
             for _ in range(5):
                 members = [v for v in range(g.n) if rng.random() < 0.5]
                 mask = sum(1 << v for v in members)
                 want = sum(1 for a, b in itertools.combinations(members, 2) if g.adjacency()[a, b])
-                assert _edges_inside(g.rows, mask) == want
+                assert _edges_inside(rows, mask) == want
                 A = g.adjacency().astype(np.float32)
                 R = np.zeros((1, g.n), dtype=np.float32)
                 R[0, members] = 1
@@ -546,22 +575,22 @@ def reference_pass(g):
     """The per-edge loop the matrix-product pass replaced: one _edges_inside
     count per edge."""
     counts = Counter()
+    rows = bit_rows(g)
     for u, v in edge_pairs(g):
-        counts[_edges_inside(g.rows, g.rows[u] & g.rows[v])] += 1
+        counts[_edges_inside(rows, rows[u] & rows[v])] += 1
     return tuple(sorted(counts.items()))
 
 
-def star_with_arcs(leaves, arcs, vertex_transitive=False):
+def star_with_arcs(leaves, arcs, conn=None):
     """The star at vertex 0 on the leaves 1..leaves plus one-way arcs among
-    them, set past the constructor, which rejects an asymmetric matrix."""
+    them, past the constructor, which rejects an asymmetric matrix; with
+    conn, a connection set that does not build it, as its mark."""
     n = leaves + 1
-    g = graphs.DenseGraph(np.zeros((n, n), dtype=np.uint8), vertex_transitive=vertex_transitive)
     faulty = np.zeros((n, n), dtype=np.uint8)
     faulty[0, 1:] = faulty[1:, 0] = 1
     for u, v in arcs:
         faulty[u, v] = 1
-    g._adjacency = faulty
-    return g
+    return graphs.DenseGraph._proven(faulty, conn)
 
 
 def one_way_triangle():
@@ -582,12 +611,14 @@ except graphs.SelfCheckError as exc:
 
 CLIQUE_FAULTS = FAULT_PRELUDE + """
 from cayleycert import cayley, families, iso
+from cayleycert.groups import AbelianGroup
 
 triangle = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]
+c5 = cayley.ConnectionSet(AbelianGroup((5,)), [1, 4])
 for g in (
     one_way_triangle(),
     star_with_arcs(3, [(1, 2)]),
-    star_with_arcs(4, triangle + [(4, 1), (4, 2)], vertex_transitive=True),
+    star_with_arcs(4, triangle + [(4, 1), (4, 2)], c5),
 ):
     try:
         graphs.invariant_counts(g)
@@ -640,10 +671,11 @@ def reference_check_srg(g):
         return SrgResult(None, "disconnected", None)
     lam = mu = None
     lam_pair = mu_pair = None
+    rows = bit_rows(g)
     for u in range(n):
-        ru = g.rows[u]
+        ru = rows[u]
         for v in range(u + 1, n):
-            c = (ru & g.rows[v]).bit_count()
+            c = (ru & rows[v]).bit_count()
             if (ru >> v) & 1:
                 if lam is None:
                     lam, lam_pair = c, (u, v)
@@ -693,6 +725,7 @@ def reference_intersection_array(g):
     if sum(base_layers) != (1 << n) - 1:
         return DistanceRegularResult(None, "disconnected", None)
     d = len(base_layers) - 1
+    rows = bit_rows(g)
     bs = [None] * d
     cs = [None] * d
     for s in range(n):
@@ -707,8 +740,8 @@ def reference_intersection_array(g):
             for x in range(n):
                 if not (layer >> x) & 1:
                     continue
-                b = (g.rows[x] & above).bit_count()
-                c = (g.rows[x] & below).bit_count()
+                b = (rows[x] & above).bit_count()
+                c = (rows[x] & below).bit_count()
                 if i < d:
                     if bs[i] is None:
                         bs[i] = b
@@ -858,19 +891,16 @@ class TestBlockKernels:
         assert passes == []
 
     def test_srg_intersection_array_against_the_layer_path(self, monkeypatch):
-        """On the family graphs and their complements, as built, relabelled
-        with the mark and unmarked, the array read off the SRG parameters
-        equals the distance-layer path's, and no distance pass runs for it."""
+        """On the family graphs and their complements, as built, moved by a
+        group automorphism and relabelled without a connection set, the array
+        read off the SRG parameters equals the distance-layer path's, and no
+        distance pass runs for it."""
         p5, p9, p13 = (paley(q).connection_set for q in (5, 9, 13))
         sets = [paley(q).connection_set for q in (5, 9, 13, 25, 49, 81, 169)]
         sets += [peisert(q).connection_set for q in (9, 49, 121)] + [davis(3).connection_set]
         sets += [lex_product(p5, p5), lex_product(p5, p9), lex_product(p9, p13), lex_product(p13, p9)]
         rng = np.random.default_rng(53)
-        corpus = []
-        for conn in sets:
-            for g in (build_cayley(conn), complement(build_cayley(conn))):
-                marked = g.relabel(rng.permutation(g.n))
-                corpus += [g, marked, DenseGraph(marked.adjacency())]
+        corpus = [g for conn in sets for triple in moved_and_relabelled(conn, rng) for g in triple]
         is_srg = [check_srg(g).is_srg for g in corpus]
         assert sum(is_srg) == 6 * 11  # all but the lexicographic products
         passes = []
@@ -895,7 +925,9 @@ class TestBlockKernels:
         assert intersection_array(late_join()).witness == (8, 10, 3, 2)
 
     def test_diagonal_fault_raises(self):
-        g = paley_graph(13)
+        # unmarked, so the block path reads the matrix: a Cayley graph's row 0
+        # of A^2 is S^2, which this fault does not reach
+        g = DenseGraph(paley_graph(13).adjacency())
         faulty = g.adjacency().copy()
         v, w = np.flatnonzero(faulty[0])[0], np.flatnonzero(faulty[0, 1:] == 0)[0] + 1
         # move the arc 0 -> v to 0 -> w in row 0 alone: every row sum stays k,
@@ -907,27 +939,38 @@ class TestBlockKernels:
 
 
 class TestVertexTransitiveMark:
-    """build_cayley marks its graphs vertex-transitive; relabel and complement
-    carry the mark, every other constructor leaves it off, and a marked graph
-    runs the SRG and distance kernels from vertex 0 alone."""
+    """build_cayley marks its graphs with their connection set; complement
+    carries the complement set, every other constructor and relabel leave the
+    mark off, and a marked graph runs the SRG and distance kernels from
+    vertex 0 alone."""
 
     def test_only_build_cayley_marks(self):
-        g = paley_graph(13)
-        assert g.vertex_transitive
-        assert complement(g).vertex_transitive
-        assert g.relabel(list(range(12, -1, -1))).vertex_transitive
+        conn = paley(13).connection_set
+        g = build_cayley(conn)
+        assert g.connection_set == conn and g.vertex_transitive
+        assert complement(g).connection_set == complement_connection_set(conn)
+        assert complement(complement(g)).connection_set == conn
         unmarked = [
+            g.relabel(list(range(12, -1, -1))),
             DenseGraph(g.adjacency()),
             DenseGraph.from_edges(g.n, edge_pairs(g)),
             from_graph6(to_graph6(g)),
             from_edge_list(to_edge_list(g)),
         ]
         for h in unmarked:
-            assert h == g and not h.vertex_transitive
-            assert not complement(h).vertex_transitive
-            assert not h.relabel(list(range(12, -1, -1))).vertex_transitive
-        with pytest.raises(AttributeError):
-            g.vertex_transitive = False
+            assert h.connection_set is None and not h.vertex_transitive
+            assert complement(h).connection_set is None
+            assert h.relabel(list(range(12, -1, -1))).connection_set is None
+        # x -> -x is an automorphism, so even the relabelled copy equals g
+        assert all(h == g for h in unmarked)
+        for name in ("vertex_transitive", "connection_set"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+
+    def test_mark_cannot_be_asserted(self):
+        # the one way to mark is a connection set; the constructor takes none
+        with pytest.raises(TypeError):
+            DenseGraph(late_join().adjacency(), vertex_transitive=True)
 
     def test_one_source_zero_pass_per_marked_graph(self, monkeypatch):
         passes = []
@@ -958,17 +1001,6 @@ class TestVertexTransitiveMark:
             sizes = sphere_sizes(x)
             assert all(t is sizes[0] for t in sizes)  # one tuple, shared
 
-    def test_mark_is_trusted_not_checked(self):
-        # late_join() first fails at row and source 8; marked, only vertex 0
-        # is read, so the refuted parameters and array come back certified
-        g = late_join()
-        marked = DenseGraph(g.adjacency(), vertex_transitive=True)
-        assert check_srg(g).witness[2] == (8, 9)
-        assert intersection_array(g).witness == (8, 10, 3, 2)
-        assert check_srg(marked).params == SrgParams(18, 14, 10, 14)
-        assert intersection_array(marked).array == IntersectionArray((14, 3), (1, 14))
-        assert sphere_sizes(marked) == (sphere_sizes(g)[0],) * 18
-
     def test_one_vertex_per_marked_graph_in_the_per_vertex_kernels(self, monkeypatch):
         visits = []
         neighbourhoods = graphs._neighbourhoods
@@ -990,7 +1022,7 @@ class TestVertexTransitiveMark:
 
     def test_wrong_mark_fails_the_clique_division(self):
         # K4 plus an isolated vertex: vertex 0 is in one 4-clique, and 5 / 4 is not whole
-        marked = DenseGraph(np.pad(complete(4).adjacency(), (0, 1)), vertex_transitive=True)
+        marked = wrongly_marked(DenseGraph(np.pad(complete(4).adjacency(), (0, 1))))
         with pytest.raises(SelfCheckError, match="5 x 1 4-cliques at vertex 0 is not a multiple"):
             invariant_counts(marked)
 
@@ -998,9 +1030,15 @@ class TestVertexTransitiveMark:
         # vertex 0 of a path has one edge: n / 2 times it is 2 edges of P4,
         # which has 3, and half an edge of P5
         for g, message in ((path(4), "counts 2 edges, not 3"), (path(5), "not a multiple of 2")):
-            marked = DenseGraph(g.adjacency(), vertex_transitive=True)
+            marked = wrongly_marked(g)
             with pytest.raises(SelfCheckError, match=message):
                 edge_neighborhood_edge_profile(marked)
+
+
+def wrongly_marked(g):
+    """g marked by the n-cycle's connection set {1, -1} over Z_n, which does
+    not build it: a fault only the kernels' own checks can see."""
+    return DenseGraph._proven(g.adjacency().copy(), ConnectionSet(AbelianGroup((g.n,)), [1, g.n - 1]))
 
 
 class TestModPRank:
@@ -1146,8 +1184,9 @@ def reference_to_graph6(g):
     n = g.n
     header = chr(n + 63) if n <= 62 else "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
     bits = []
+    rows = bit_rows(g)
     for j in range(1, n):
-        col = g.rows[j]
+        col = rows[j]
         for i in range(j):
             bits.append((col >> i) & 1)
     while len(bits) % 6:
@@ -1185,8 +1224,7 @@ def reference_from_graph6(text):
 def reference_relabel(g, perm):
     """The bit loop relabel replaced: the bit rows of the image."""
     rows = [0] * g.n
-    for u in range(g.n):
-        m = g.rows[u]
+    for u, m in enumerate(bit_rows(g)):
         acc = 0
         while m:
             lsb = m & -m
@@ -1199,7 +1237,7 @@ def reference_relabel(g, perm):
 def reference_complement(g):
     """The bit loop complement replaced: the bit rows of the complement."""
     full = (1 << g.n) - 1
-    return tuple((r ^ full) & ~(1 << u) for u, r in enumerate(g.rows))
+    return tuple((r ^ full) & ~(1 << u) for u, r in enumerate(bit_rows(g)))
 
 
 class TestGraph6:
@@ -1225,8 +1263,8 @@ class TestGraph6:
         for g in corpus + [complement(g) for g in corpus] + [dense_random_graph(4096, 53)]:
             text = to_graph6(g)
             assert text == reference_to_graph6(g)
-            assert from_graph6(text).rows == reference_from_graph6(text)
-            assert complement(g).rows == reference_complement(g)
+            assert bit_rows(from_graph6(text)) == reference_from_graph6(text)
+            assert bit_rows(complement(g)) == reference_complement(g)
 
     def test_relabel_against_reference_loop(self):
         rng = random.Random(59)
@@ -1234,7 +1272,7 @@ class TestGraph6:
         for g in corpus + [complement(g) for g in corpus]:
             perm = list(range(g.n))
             rng.shuffle(perm)
-            assert g.relabel(perm).rows == reference_relabel(g, perm)
+            assert bit_rows(g.relabel(perm)) == reference_relabel(g, perm)
 
     def test_against_networkx(self):
         for g in self.graphs():
@@ -1274,3 +1312,18 @@ class TestEdgeList:
             from_edge_list("0 1 2\n")
         with pytest.raises(ValueError):
             from_edge_list("")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1 x\n", "line 2: bad vertex 'x'"),
+            ("0 1\n1 -2\n", "line 2: bad vertex '-2'"),
+            ("0 +1\n", "line 1: bad vertex '+1'"),
+            ("0 1\n1 1.5\n", "line 2: bad vertex '1.5'"),
+            ("# loops\n0 1\n\n1 1\n", "line 4: loop at vertex 1"),
+            ("0 1\n1 2 3\n", "line 2: expected 'u v', got '1 2 3'"),
+        ],
+    )
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            from_edge_list(text)

@@ -163,6 +163,20 @@ class TestConvolution:
             assert ga_mul(G, x, y).tolist() == want
 
 
+    def test_multiplicities_past_uint8(self):
+        """Against the pair count: y repeating one element 255 times keeps
+        the uint8 translates, 300 times takes the int32 ones."""
+        G = AbelianGroup((13,))
+        rng = random.Random(71)
+        x = rng.choices(range(G.order), k=2 * ROW_BLOCK + 5)
+        for y in ([3] * 255 + [5], [3] * 300 + [5, 5]):
+            want = [0] * G.order
+            for i in x:
+                for j in y:
+                    want[(i + j) % 13] += 1
+            assert ga_mul(G, x, y).tolist() == want
+
+
 class TestVerifyPds:
     def test_paley13_against_oracle(self):
         G = AbelianGroup((13,))
@@ -383,6 +397,9 @@ class TestDerivedProducts:
         monkeypatch.chdir(Path(__file__).parent / "data")
         assert cli.main(["verify", "davis3.set", "--srg", "--dr", "--pds", "--schur"]) == 0
         assert len(calls) == 2  # D * D^(-1) for the PDS count, and S^2
+        # S^2 is also row 0 of A^2, which check_srg and is_connected read
+        assert cli.main(["verify", "davis3.set", "--srg"]) == 0
+        assert len(calls) == 3
 
     def test_sets_holding_the_identity_raise(self):
         """The identities need e outside S: a set holding it raises when it

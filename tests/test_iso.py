@@ -19,6 +19,7 @@ from cayleycert.cayley import (
 from cayleycert.families import davis, paley, peisert
 from cayleycert.graphs import DenseGraph, SelfCheckError, check_srg, class_edge_counts, complement
 from cayleycert.groups import AbelianGroup
+from test_graphs import moved_set
 from test_groups import (
     oracle_apply,
     random_non_selfcomplementary_set,
@@ -780,8 +781,22 @@ class TestSelfComplementary:
 
     def test_hint_must_match_graph(self):
         rep = paley(13)
-        with pytest.raises(ValueError):
-            is_self_complementary(cycle(13), hint=rep.connection_set)
+        other = build_cayley(complement_connection_set(rep.connection_set))
+        for g in (cycle(13), other):  # a marked graph of another set, too
+            with pytest.raises(ValueError, match="does not build this labeled graph"):
+                is_self_complementary(g, hint=rep.connection_set)
+
+    def test_graph_carrying_the_hint_is_not_rebuilt(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(iso, "build_cayley", lambda conn: built.append(conn) or build_cayley(conn))
+        conn = davis(3).connection_set
+        g = build_cayley(conn)
+        equal = validate_connection_set(conn.group, conn.elements)  # equal, not the same instance
+        for hint in (conn, equal):
+            assert is_self_complementary(g, hint=hint).isomorphic
+        assert built == []
+        read = DenseGraph(g.adjacency())
+        assert is_self_complementary(read, hint=conn).isomorphic and built == [conn]
 
     def test_selfcomp_graphs_have_diameter_two(self):
         from cayleycert.graphs import diameter
@@ -805,8 +820,8 @@ PROBE_POSITIVES = {
 
 
 def probe_positive(name):
-    g = build_cayley(PROBE_POSITIVES[name]())
-    return g.relabel(np.random.default_rng(len(name)).permutation(g.n))
+    """The Cayley graph of the set moved by a seeded group automorphism."""
+    return build_cayley(moved_set(PROBE_POSITIVES[name](), np.random.default_rng(len(name))))
 
 
 class TestProbe:
